@@ -29,13 +29,12 @@ import numpy as np
 
 from . import __version__
 from .coherence import exact_mode_series, initial_coherence, mode_series
-from .lattice import LatticeSpec
+from .lattice import build_lattice
 from .master_equation import DEFAULT_DT, scan_steady_state, window_times
 from .meanfield import (
     MeanFieldParams,
     SIGN_CONVENTIONS,
     ORACLE_VERIFIED,
-    fixed_points_cubic,
     refine_critical_point,
     scan_phase_diagram,
 )
@@ -211,7 +210,7 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
         n_sites = int(cfg["verify_N"])
         if d != 1:
             raise ValueError("the exact cross-check runs on a chain (d = 1)")
-        lat = LatticeSpec(1, (n_sites,), "periodic")
+        lat = build_lattice(1, (n_sites,), "periodic")
         mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
         for m in cfg["models"]:
             exact = exact_mode_series(lat, mp, m, t, dt=cfg["dt"])
@@ -265,7 +264,7 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
             "exact integration is limited to N <= 10; use the trajectories "
             "command for larger systems"
         )
-    lat = LatticeSpec(1, (n_sites,), cfg["boundary"])
+    lat = build_lattice(1, (n_sites,), cfg["boundary"])
     mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     scan = scan_steady_state(
@@ -299,7 +298,10 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
-    lat = LatticeSpec(1, (n_sites,), cfg["boundary"])
+    lat = build_lattice(1, (n_sites,), cfg["boundary"])
+    threads = cfg["threads"]
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     models = _models(cfg)
     gamma = cfg["gamma"]
@@ -325,7 +327,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                 ens = run_ensemble(
                     lat, mp, m, psi0, int(cfg["n_traj"]), int(cell_seeds[idx]),
                     t_final=cfg["t_final"], dt=cfg["dt"],
-                    sample_times=sample_times, threads=int(cfg["threads"]),
+                    sample_times=sample_times, threads=threads,
                 )
                 stats[m][(i, j)] = ens.window_statistics(tw)
                 idx += 1
@@ -375,14 +377,12 @@ def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
 
     cut_deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], int(cfg["cut_n_delta"]))
     cut_rows = []
-    for D in cut_deltas:
-        p = MeanFieldParams(float(D), float(cfg["cut_omega"]), cfg["gamma"],
-                            int(cfg["d"]), cfg["V"])
-        fps = fixed_points_cubic(p, cfg["sign_convention"], cfg["model"])
-        stab = sorted(f.state.n for f in fps if f.stable and f.physical)
-        unst = sorted(f.state.n for f in fps if not f.stable and f.physical)
+    for c in scan_phase_diagram(cut_deltas, [cfg["cut_omega"]], params,
+                                cfg["sign_convention"], cfg["model"]):
+        stab = sorted(f.state.n for f in c.fixed_points if f.stable and f.physical)
+        unst = sorted(f.state.n for f in c.fixed_points if not f.stable and f.physical)
         cut_rows.append([
-            D,
+            c.Delta,
             stab[0] if stab else None,
             stab[-1] if len(stab) > 1 else None,
             unst[0] if unst else None,
@@ -401,7 +401,7 @@ def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
                 delta_range=(cfg["delta_min"], cfg["delta_max"]),
                 omega_range=(cfg["critical_omega_start"], cfg["omega_max"]),
             )
-            crit.append({"Delta": Dc, "Omega": Oc, "tol": 1e-3 * cfg["gamma"]})
+            crit.append({"Delta": Dc, "Omega": Oc})
         except ValueError as exc:
             crit_error = str(exc)
     crit_path = out_dir / "meanfield_critical_points.json"

@@ -83,6 +83,13 @@ def _jump_matrices(jumps) -> list:
     return mats
 
 
+def check_dt(dt: float) -> None:
+    """Reject a step that is not finite and positive: a fixed-step loop
+    would never reach its end time with it."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+
+
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
     """Hermiticity, unit trace, and diagonal positivity spot-check."""
     rho = np.asarray(rho)
@@ -207,8 +214,7 @@ def integrate_exact(
     (up to 6 halvings); snapshots are trace-renormalized when the drift
     exceeds 1e-12 (the event is counted, not hidden).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_dt(dt)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[0] > 1024:
         raise ValueError("exact integration supports dim <= 1024 (N <= 10)")
@@ -364,6 +370,7 @@ def scan_steady_state(
     """
     for m in models:
         check_model(m)
+    check_dt(dt)
     delta_values = np.asarray(delta_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     n = lattice.site_count

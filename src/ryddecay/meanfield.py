@@ -20,6 +20,11 @@ eliminates s_x, s_y linearly, reducing stationarity to a cubic in n, and
 polishes the roots with the same Newton rule; this is what makes a 201x201
 scan cheap. Both routes share classification and deduplication and are
 cross-checked in tests.
+
+The bistable lobe ends at a cusp, where that cubic has a triple root n0.
+refine_critical_point solves for it in closed form: the triple-root
+conditions leave one polynomial of degree 6 in n0, and each of its real
+roots in (0, 1] gives a cusp (Delta, Omega).
 """
 
 from __future__ import annotations
@@ -218,6 +223,15 @@ def find_fixed_points(
     return _classify(roots, params, sign_convention, model)
 
 
+def _cubic_coefficients(D, omega2, g, w, u, sigma):
+    """(p3, p2, p1, p0) of the stationarity cubic in n; D and omega2 =
+    Omega^2 may be numpy Polynomials (the cusp search passes them)."""
+    p3 = w * w + 0.25 * g * g * u * u
+    p2 = (1.0 + sigma) * D * w + 0.5 * g * g * u + 2.0 * omega2 * u
+    p1 = sigma * D * D + 0.25 * g * g + 2.0 * omega2 - omega2 * u
+    return p3, p2, p1, -omega2
+
+
 def _cubic_candidates(params: MeanFieldParams, sign_convention: str, model: str) -> np.ndarray:
     """Stationary states via elimination: s_y = gamma n / Omega and
     s_x = -(Delta + 2dVn) s_y / a turn stationarity into a cubic in n."""
@@ -227,11 +241,7 @@ def _cubic_candidates(params: MeanFieldParams, sign_convention: str, model: str)
     g, D, O = params.gamma, params.Delta, params.Omega
     if O == 0.0:
         return np.array([[0.0, 0.0, 0.0]])
-    p3 = w * w + 0.25 * g * g * u * u
-    p2 = (1.0 + sigma) * D * w + 0.5 * g * g * u + 2.0 * O * O * u
-    p1 = sigma * D * D + 0.25 * g * g + 2.0 * O * O - O * O * u
-    p0 = -O * O
-    roots = np.roots([p3, p2, p1, p0])
+    roots = np.roots(_cubic_coefficients(D, O * O, g, w, u, sigma))
     scale = 1.0 + np.max(np.abs(roots)) if len(roots) else 1.0
     nvals = np.real(roots[np.abs(np.imag(roots)) < 1e-9 * scale])
     out = []
@@ -302,87 +312,47 @@ def stable_count_map(cells: list[PhaseDiagramCell], n_delta: int, n_omega: int) 
     return np.array([c.stable_count for c in cells]).reshape(n_delta, n_omega)
 
 
-def _bistable_at(params, sign_convention, model, delta, omega) -> bool:
-    p = MeanFieldParams(float(delta), float(omega), params.gamma, params.d, params.V)
-    fps = fixed_points_cubic(p, sign_convention, model)
-    return sum(1 for f in fps if f.stable and f.physical) >= 2
-
-
-def _bistable_window(params, sign_convention, model, omega, d_lo, d_hi, spacing, tol):
-    """Bistable Delta interval inside [d_lo, d_hi] at fixed Omega, edges
-    refined by bisection to tol; None when no sampled point is bistable."""
-    n_pts = min(30001, max(2, int(np.ceil((d_hi - d_lo) / spacing)) + 1))
-    deltas = np.linspace(d_lo, d_hi, n_pts)
-    flags = [_bistable_at(params, sign_convention, model, D, omega) for D in deltas]
-    if not any(flags):
-        return None
-    first = flags.index(True)
-    last = len(flags) - 1 - flags[::-1].index(True)
-
-    def edge(inside, outside):
-        for _ in range(60):
-            if abs(outside - inside) < tol:
-                break
-            mid = 0.5 * (inside + outside)
-            if _bistable_at(params, sign_convention, model, mid, omega):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lo = deltas[first] if first == 0 else edge(deltas[first], deltas[first - 1])
-    hi = deltas[last] if last == n_pts - 1 else edge(deltas[last], deltas[last + 1])
-    return (lo, hi)
-
-
 def refine_critical_point(
     params: MeanFieldParams,
     sign_convention: str = ORACLE_VERIFIED,
     model: str = COLLECTIVE,
     delta_range: tuple[float, float] = (-30.0, 0.0),
     omega_range: tuple[float, float] = (2.5, 10.0),
-    tol: float = 1e-3,
 ) -> tuple[float, float]:
-    """Locate the cusp where the two-stable-states region terminates.
+    """Cusp (Delta, Omega) where the two-stable-states region terminates.
 
-    Continuation upward in Omega from a known bistable cut: each step
-    searches for the bistable Delta window near its slope-predicted
-    position, refines the window edges by bisection, and halves the step on
-    failure (bisecting the Omega transition). The window drifts in Delta at
-    a finite slope, so search ranges are tied to the step size; without the
-    tracking a large Omega jump loses the window entirely. Returns the
-    window midpoint and Omega at the last bistable step, each converged to
-    tol (units of gamma).
+    There the stationarity cubic is p3 (n - n0)^3: matching p0 gives
+    Omega^2 = p3 n0^3, matching p2 fixes Delta linearly in n0, and matching
+    p1 leaves a degree-6 polynomial in n0. Of the cusps its real roots in
+    (0, 1] give, those in delta_range x (omega_range[0], omega_range[1]]
+    are kept and the one with the largest Omega, the upper end of the
+    bistable lobe, is returned. Raises ValueError when none is kept, as for
+    as_printed or V = 0, where the triple root sits at n0 <= 0.
     """
-    tol = tol * params.gamma
-    o_lo, o_hi = omega_range
-    w = _bistable_window(
-        params, sign_convention, model, o_lo,
-        delta_range[0], delta_range[1], spacing=max(10 * tol, 1e-3), tol=0.25 * tol,
-    )
-    if w is None:
-        raise ValueError("no bistable window at the lower end of omega_range")
-    omega, center, width = o_lo, 0.5 * (w[0] + w[1]), w[1] - w[0]
-    slope, h = 0.0, 0.25 * (o_hi - o_lo)
-    while h > 0.5 * tol:
-        trial = min(omega + h, o_hi)
-        step = trial - omega
-        spacing = min(tol, max(0.25 * width, 1e-7))
-        reach = (abs(slope) + 2.0) * step + width + 50 * spacing
-        pred = center + slope * step
-        nw = _bistable_window(
-            params, sign_convention, model, trial,
-            pred - reach, pred + reach, spacing, tol=0.25 * tol,
+    sigma = _sigma(sign_convention)
+    u = _factor_u(params, model)
+    w = 2.0 * params.d * params.V
+    g = params.gamma
+    found = []
+    if (1.0 + sigma) * w != 0.0:
+        n0 = np.polynomial.Polynomial([0.0, 1.0])
+        p3 = _cubic_coefficients(0.0, 0.0, g, w, u, sigma)[0]
+        omega2 = p3 * n0**3
+        # p2 = (1 + sigma) w Delta + (its value at Delta = 0) = -3 p3 n0
+        p2_at_zero = _cubic_coefficients(0.0, omega2, g, w, u, sigma)[1]
+        delta = -(p2_at_zero + 3.0 * p3 * n0) / ((1.0 + sigma) * w)
+        p1 = _cubic_coefficients(delta, omega2, g, w, u, sigma)[2]
+        for root in (p1 - 3.0 * p3 * n0**2).roots():
+            n = float(np.real(root))
+            if abs(np.imag(root)) < 1e-9 and 0.0 < n <= 1.0:
+                found.append((float(delta(n)), float(np.sqrt(omega2(n)))))
+    (d_lo, d_hi), (o_lo, o_hi) = delta_range, omega_range
+    inside = [(D, O) for D, O in found if d_lo <= D <= d_hi and o_lo < O <= o_hi]
+    if not inside:
+        raise ValueError(
+            f"no mean-field cusp with Delta in [{d_lo}, {d_hi}] and Omega in ({o_lo}, {o_hi}]"
         )
-        if nw is None:
-            h *= 0.5
-            continue
-        new_center = 0.5 * (nw[0] + nw[1])
-        slope = (new_center - center) / step
-        omega, center, width = trial, new_center, nw[1] - nw[0]
-        if omega >= o_hi:
-            raise ValueError("bistable region persists to the top of omega_range")
-    return center, omega
+    return max(inside, key=lambda point: point[1])
 
 
 def integrate_mf(

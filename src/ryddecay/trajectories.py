@@ -17,6 +17,7 @@ alone.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import LatticeSpec, neighbor_table
-from .master_equation import DEFAULT_DT
+from .master_equation import DEFAULT_DT, check_dt
 from .operators import (
     ModelParams,
     check_model,
@@ -127,6 +128,7 @@ def evolve_trajectory(
     use run_ensemble for the standard protocol). Samples are taken from the
     normalized state.
     """
+    check_dt(dt)
     psi = np.asarray(psi0, dtype=complex).copy()
     nrm = np.sqrt(_norm2(psi))
     if abs(nrm - 1.0) > 1e-10:
@@ -245,7 +247,8 @@ def run_ensemble(
 
     children = np.random.SeedSequence(master_seed).spawn(n_traj)
     samples = np.zeros((n_traj, len(sample_times)))
-    if threads <= 1:
+    workers = min(threads, n_traj, os.cpu_count() or 1)
+    if workers <= 1:
         for i, child in enumerate(children):
             rng = np.random.default_rng(child)
             res = evolve_trajectory(psi0, h_eff, jumps, t_final, dt, rng, sample_times, obs)
@@ -255,7 +258,7 @@ def run_ensemble(
             (i, child, psi0, h_eff, jumps, t_final, dt, sample_times, obs)
             for i, child in enumerate(children)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, vals in pool.map(_run_one, tasks, chunksize=8):
                 samples[idx] = vals
     # reduce in trajectory-index order: byte-identical for any scheduling

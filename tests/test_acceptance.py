@@ -296,7 +296,7 @@ def test_criterion_09_mean_field_bistability_region():
     top = omegas[bi_o.max()]
     assert top < omegas[-1]
     assert np.all(counts[:, bi_o.max() + 1:] == 1)
-    crit_delta, crit_omega = refine_critical_point(params, tol=1e-3)
+    crit_delta, crit_omega = refine_critical_point(params)
     assert top <= crit_omega < top + 0.5
     near = dict(lo=crit_delta - 2.0, hi=crit_delta + 2.0, n=4001)
     assert _bistable_window(crit_omega - 0.05, **near) is not None

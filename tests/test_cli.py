@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -81,7 +83,7 @@ def test_coherence_rejects_unknown_key(tmp_path, capsys):
 
 def test_steady_state_small_grid(tmp_path):
     run(tmp_path, "steady-state", {
-        "N": 2, "delta_min": -6.0, "delta_max": 0.0, "n_delta": 2,
+        "N": 2, "boundary": "open", "delta_min": -6.0, "delta_max": 0.0, "n_delta": 2,
         "omega_min": 1.0, "omega_max": 2.5, "n_omega": 2,
     })
     meta, columns, rows = read_csv(tmp_path / "steady_state.csv")
@@ -100,7 +102,7 @@ def test_steady_state_small_grid(tmp_path):
 
 def test_steady_state_weak_drive_stays_empty(tmp_path):
     run(tmp_path, "steady-state", {
-        "N": 2, "delta_min": 0.0, "delta_max": 0.0, "n_delta": 1,
+        "N": 2, "boundary": "open", "delta_min": 0.0, "delta_max": 0.0, "n_delta": 1,
         "omega_min": 1e-3, "omega_max": 1e-3, "n_omega": 1,
     })
     _, columns, rows = read_csv(tmp_path / "steady_state.csv")
@@ -114,10 +116,64 @@ def test_steady_state_rejects_large_system(tmp_path, capsys):
 
 
 TRAJ_CFG = {
-    "N": 2, "V": 10.0, "delta_min": -6.0, "delta_max": -6.0, "n_delta": 1,
+    "N": 2, "boundary": "open", "V": 10.0,
+    "delta_min": -6.0, "delta_max": -6.0, "n_delta": 1,
     "omega_min": 2.5, "omega_max": 2.5, "n_omega": 1, "n_traj": 12,
     "t_final": 5.0, "seed": 4242,
 }
+
+
+class Hung(Exception):
+    """Raised by the alarm; not an OSError, so main() does not catch it."""
+
+
+@contextmanager
+def deadline(seconds):
+    def fail(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def one_cell(command, **cfg):
+    """A one-cell, one-model config for command, updated with cfg."""
+    base = {"N": 2, "boundary": "open", "delta_min": -6.0, "delta_max": -6.0,
+            "n_delta": 1, "omega_min": 2.5, "omega_max": 2.5, "n_omega": 1,
+            "model": "single"}
+    if command == "trajectories":
+        base["n_traj"] = 1
+    return {**base, **cfg}
+
+
+@pytest.mark.parametrize("command", ["steady-state", "trajectories"])
+@pytest.mark.parametrize("lattice, message", [
+    ({"N": 4, "boundary": "sideways"}, "boundary must be"),
+    ({"N": 2, "boundary": "periodic"}, "periodic boundaries require"),
+])
+def test_lattice_rejected(tmp_path, capsys, command, lattice, message):
+    run(tmp_path, command, one_cell(command, **lattice), expect=1)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["steady-state", "trajectories"])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bad_dt_rejected(tmp_path, capsys, command, dt):
+    with deadline(30):
+        run(tmp_path, command, one_cell(command, dt=dt), expect=1)
+    assert "dt must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_bad_threads_rejected(tmp_path, capsys, threads):
+    run(tmp_path, "trajectories", one_cell("trajectories"),
+        extra_args=["--threads", threads], expect=1)
+    assert "threads must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_trajectories_output_and_determinism(tmp_path):
@@ -210,6 +266,16 @@ def test_meanfield_critical_point_refinement(tmp_path):
     (point,) = crit["critical_points"]
     assert point["Omega"] == pytest.approx(3.4604, abs=5e-3)
     assert point["Delta"] == pytest.approx(-11.824, abs=2e-2)
+
+
+def test_meanfield_no_cusp_below_omega_max(tmp_path):
+    cfg = dict(MF_CFG)
+    cfg.update({"n_delta": 3, "n_omega": 2, "cut_n_delta": 11,
+                "refine_critical": True, "omega_max": 3.4})
+    run(tmp_path, "meanfield", cfg)
+    crit = json.loads((tmp_path / "meanfield_critical_points.json").read_text())
+    assert crit["critical_points"] == []
+    assert crit["error"] is not None
 
 
 def test_meanfield_round_trip_bytes(tmp_path):

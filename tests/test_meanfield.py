@@ -249,12 +249,41 @@ def test_scan_single_model_window_is_different():
 
 
 def test_critical_point_frozen_value():
-    crit_delta, crit_omega = refine_critical_point(BISTABLE, tol=1e-3)
+    crit_delta, crit_omega = refine_critical_point(BISTABLE)
     assert crit_omega == pytest.approx(3.46039, abs=5e-3)
     assert crit_delta == pytest.approx(-11.8236, abs=2e-2)
     # beyond the cusp the window has closed
     past = MeanFieldParams(Delta=crit_delta, Omega=crit_omega + 0.2, gamma=1.0, d=1, V=10.0)
     assert sum(1 for fp in find_fixed_points(past) if fp.stable) == 1
+
+
+# triple root of the stationarity cubic from an independent 2-D fsolve of
+# p2^2 = 3 p1 p3 and p1^2 = 3 p0 p2
+CUSP = (-11.825487044686737, 3.4615157922026922)
+
+
+@pytest.mark.parametrize("omega_range", [(2.5, 10.0), (0.0, 10.0)])
+def test_critical_point_is_upper_triple_root(omega_range):
+    # (0, 10] also holds the lobe's lower cusp near (-1.0685, 0.1233)
+    crit = refine_critical_point(BISTABLE, omega_range=omega_range)
+    assert crit == pytest.approx(CUSP, abs=1e-9)
+
+
+def test_critical_point_single_model():
+    # reference from an Omega continuation with Delta-window bisection to 1e-3
+    crit_delta, crit_omega = refine_critical_point(BISTABLE, model=SINGLE)
+    assert crit_delta == pytest.approx(-11.1819, abs=2e-3)
+    assert crit_omega == pytest.approx(4.5508, abs=2e-3)
+
+
+@pytest.mark.parametrize("params, kwargs", [
+    (BISTABLE, {"sign_convention": AS_PRINTED}),
+    (BISTABLE, {"omega_range": (2.5, 3.4)}),
+    (MeanFieldParams(Delta=-10.0, Omega=2.5, gamma=1.0, d=1, V=0.0), {}),
+])
+def test_critical_point_absent_raises(params, kwargs):
+    with pytest.raises(ValueError, match="no mean-field cusp"):
+        refine_critical_point(params, **kwargs)
 
 
 def test_bounds_violation_helper():

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .coherence import exact_mode_series, initial_coherence, mode_series
 from .lattice import build_lattice
-from .master_equation import DEFAULT_DT, scan_steady_state, window_times
+from .master_equation import scan_steady_state, window_times
 from .meanfield import (
     MeanFieldParams,
     SIGN_CONVENTIONS,
@@ -39,7 +39,7 @@ from .meanfield import (
     scan_phase_diagram,
 )
 from .operators import COLLECTIVE, MODELS, SINGLE, ModelParams, check_model
-from .trajectories import run_ensemble
+from .trajectories import DEFAULT_DT, check_dt, run_ensemble
 
 DEFAULTS: dict[str, dict] = {
     "coherence": {
@@ -51,7 +51,7 @@ DEFAULTS: dict[str, dict] = {
         "n_times": 201,
         "models": [SINGLE, COLLECTIVE],
         "verify_N": None,   # periodic chain length for the exact cross-check columns
-        "dt": DEFAULT_DT,
+        "dt": DEFAULT_DT,   # accepted and validated; only trajectories steps with it
     },
     "steady-state": {
         "N": 4,
@@ -67,7 +67,7 @@ DEFAULTS: dict[str, dict] = {
         "n_omega": 21,
         "model": "both",
         "t_final": 5.0,
-        "dt": DEFAULT_DT,
+        "dt": DEFAULT_DT,   # accepted and validated; only trajectories steps with it
     },
     "trajectories": {
         "N": 4,
@@ -106,6 +106,13 @@ DEFAULTS: dict[str, dict] = {
         "critical_omega_start": 2.5,
     },
 }
+
+# the type of a non-None value for keys whose default is None
+NONE_DEFAULT_TYPES = {"verify_N": int, "omega_min": float}
+# integer keys that must be >= 1
+COUNT_KEYS = ("n_delta", "n_omega", "n_times", "cut_n_delta", "threads")
+TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+              list: "a list"}
 
 
 def _fmt(x) -> str:
@@ -164,7 +171,31 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    for key, default in DEFAULTS[command].items():
+        _check_type(key, cfg[key], default)
+    for key in COUNT_KEYS:
+        if key in cfg and cfg[key] < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    if "dt" in cfg:
+        check_dt(cfg["dt"])
     return cfg
+
+
+def _check_type(key: str, value, default) -> None:
+    """A value must have its default's type: a float key takes any JSON
+    number except a bool, an integer key a JSON integer only, and None is
+    accepted where it is the default."""
+    if value is None and default is None:
+        return
+    expected = NONE_DEFAULT_TYPES.get(key, type(default))
+    if expected is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif expected is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        raise ValueError(f"{key} must be {TYPE_NAMES[expected]}, got {value!r}")
 
 
 def _omega_grid(cfg) -> np.ndarray:
@@ -213,7 +244,7 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
         lat = build_lattice(1, (n_sites,), "periodic")
         mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
         for m in cfg["models"]:
-            exact = exact_mode_series(lat, mp, m, t, dt=cfg["dt"])
+            exact = exact_mode_series(lat, mp, m, t)
             dev[m] = np.max(np.abs(exact - per_model[m]), axis=0)
         columns += [f"dev_{m}" for m in cfg["models"]]
 
@@ -268,8 +299,7 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     scan = scan_steady_state(
-        lat, mp, deltas, omegas, models=_models(cfg),
-        t_final=cfg["t_final"], dt=cfg["dt"],
+        lat, mp, deltas, omegas, models=_models(cfg), t_final=cfg["t_final"],
     )
 
     def cell(i, j):
@@ -286,9 +316,11 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
         manifest, "steady-state", cfg, [csv_path.name], time.monotonic() - t0,
         extra={
             "lattice": {"dimension": 1, "extents": [n_sites], "boundary": cfg["boundary"]},
-            "integrator": {"dt": cfg["dt"], "t_final": cfg["t_final"],
+            "integrator": {"method": "expm_multiply", "t_final": cfg["t_final"],
                            "window": [float(window_times(cfg["gamma"])[0]),
-                                      float(window_times(cfg["gamma"])[-1])]},
+                                      float(window_times(cfg["gamma"])[-1])],
+                           "max_trace_drift": scan.max_trace_drift,
+                           "max_herm_drift": scan.max_herm_drift},
             "errors": scan.errors,
         },
     )
@@ -299,9 +331,6 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
     lat = build_lattice(1, (n_sites,), cfg["boundary"])
-    threads = cfg["threads"]
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     models = _models(cfg)
     gamma = cfg["gamma"]
@@ -327,7 +356,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                 ens = run_ensemble(
                     lat, mp, m, psi0, int(cfg["n_traj"]), int(cell_seeds[idx]),
                     t_final=cfg["t_final"], dt=cfg["dt"],
-                    sample_times=sample_times, threads=threads,
+                    sample_times=sample_times, threads=cfg["threads"],
                 )
                 stats[m][(i, j)] = ens.window_statistics(tw)
                 idx += 1

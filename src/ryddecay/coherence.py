@@ -153,13 +153,13 @@ def exact_mode_series(
     params: ModelParams,
     model: str,
     t_grid: np.ndarray,
-    dt: float = 1e-3,
 ) -> np.ndarray:
     """Neighborhood-resolved coherences from the full master equation.
 
     Evolves the half-inverted product state under the undriven Hamiltonian
     with the requested dissipator and returns
     X_xi(t) = (1/N) sum_k <P_k^xi sigma_k^->, shape (2d+1, len(t_grid)).
+    t_grid must be equally spaced (integrate_exact).
     """
     check_model(model)
     if params.Omega != 0.0:
@@ -179,7 +179,7 @@ def exact_mode_series(
     h = atomic_hamiltonian(lattice, table, params)
     jumps = jump_operators(lattice, table, params, model)
     t_grid = np.asarray(t_grid, dtype=float)
-    res = integrate_exact(rho0, h, jumps, float(t_grid.max()), dt=dt, sample_times=t_grid)
+    res = integrate_exact(rho0, h, jumps, float(t_grid.max()), sample_times=t_grid)
 
     # dense mode operators (1/N) sum_k P_k^xi sigma_k^-
     mode_ops = []
@@ -204,12 +204,11 @@ def verify_against_master_equation(
     params: ModelParams,
     model: str,
     t_grid: np.ndarray,
-    dt: float = 1e-3,
 ) -> float:
     """Max absolute deviation between exact_mode_series and the analytic
     mode solutions over the grid and all modes."""
     t_grid = np.asarray(t_grid, dtype=float)
-    exact = exact_mode_series(lattice, params, model, t_grid, dt=dt)
+    exact = exact_mode_series(lattice, params, model, t_grid)
     table = neighbor_table(lattice)
     d = len(table.neighbors[0]) // 2
     state = initial_coherence(d, params.omega_a, params.V, params.gamma, model)

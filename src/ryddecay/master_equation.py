@@ -1,15 +1,17 @@
-"""Lindblad master equation: assembly, exact integration, observables.
+"""Lindblad master equation: exact propagation, observables, grid scans.
 
-The right-hand side is always applied as operator products (the dim^2 x dim^2
-superoperator is never formed). Integration is fixed-step RK4, dt = 1e-3/gamma
-by default, with trace/hermiticity drift monitoring and automatic step halving
-on alarm. Dimensions up to 2^10 are supported; beyond that use the quantum
-jump trajectory module.
+Exact Lindblad propagation: sparse Liouvillian + expm_multiply. liouvillian
+assembles the generator on row-major vec(rho) once, and propagate evaluates
+exp(tL) vec(rho0) on an equally spaced sample grid with
+scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)). Every snapshot is checked for trace and hermiticity drift.
+Dimensions up to 2^10 are supported; beyond that use the quantum jump
+trajectory module.
 
-scan_steady_state runs the driven steady-state protocol over a (Delta, Omega)
-grid for both dissipation models, integrating all grid cells as one stacked
-array batch. It reuses the identical RK4 rule; equivalence with
-integrate_exact is covered by tests.
+integrate_exact propagates one system; scan_steady_state runs the driven
+steady-state protocol over a (Delta, Omega) grid for both dissipation models
+through the same two functions. lindblad_rhs applies the generator as
+operator products and is kept as the independent oracle for liouvillian.
 """
 
 from __future__ import annotations
@@ -26,18 +28,17 @@ from .operators import (
     JumpOperator,
     ModelParams,
     check_model,
+    driven_hamiltonian,
     excitation_count_vector,
-    neighbor_count_vector,
-    occupation_vector,
+    jump_operators,
 )
 
-DEFAULT_DT = 1e-3
 WINDOW = (4.75, 5.00)
 WINDOW_POINTS = 100
-
-# densify operators below this dimension: scipy sparse products carry ~10x
-# call overhead at dim 16
-_DENSE_DIM = 256
+# trace/hermiticity drift that fails a propagation, and trace drift above
+# which a snapshot is renormalized (and counted)
+DRIFT_LIMIT = 1e-6
+RENORM_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -63,17 +64,9 @@ class IntegrationResult:
 
     times: np.ndarray
     states: list[np.ndarray]
-    dt: float
     renormalizations: int = 0
     max_trace_drift: float = 0.0
     max_herm_drift: float = 0.0
-    halvings: int = 0
-
-
-def _as_matrix(op) -> np.ndarray | sp.csr_matrix:
-    if sp.issparse(op):
-        return op.toarray() if op.shape[0] <= _DENSE_DIM else op.tocsr()
-    return np.asarray(op)
 
 
 def _jump_matrices(jumps) -> list:
@@ -81,13 +74,6 @@ def _jump_matrices(jumps) -> list:
     for j in jumps:
         mats.append(j.matrix if isinstance(j, JumpOperator) else j)
     return mats
-
-
-def check_dt(dt: float) -> None:
-    """Reject a step that is not finite and positive: a fixed-step loop
-    would never reach its end time with it."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -138,64 +124,84 @@ def product_density(single_site_rho: np.ndarray, n_sites: int) -> np.ndarray:
 def lindblad_rhs(rho: np.ndarray, H, jumps) -> np.ndarray:
     """-i[H, rho] + sum_j (L_j rho L_j^dag - 1/2 {L_j^dag L_j, rho})."""
     rho = np.asarray(rho, dtype=complex)
-    Hm = _as_matrix(H)
-    if Hm.shape[0] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: H {Hm.shape} vs rho {rho.shape}")
-    out = -1j * (Hm @ rho - rho @ Hm)
+    if H.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: H {H.shape} vs rho {rho.shape}")
+    out = -1j * (H @ rho - rho @ H)
     for L in _jump_matrices(jumps):
-        Lm = _as_matrix(L)
-        if Lm.shape[0] != rho.shape[0]:
+        if L.shape != rho.shape:
             raise ValueError("dimension mismatch in jump operator")
-        Ld = Lm.conj().T
-        LdL = Ld @ Lm
-        out += Lm @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
+        Ld = L.conj().T
+        LdL = Ld @ L
+        out += L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
     return out
 
 
-def _make_rhs(H, jumps):
-    """Closure computing the RHS with everything precomputed.
+def liouvillian(H, jumps) -> sp.csr_matrix:
+    """Sparse Lindblad generator acting on row-major vec(rho).
 
-    Uses H_eff = H - (i/2) sum L^dag L so the drift is two products; the
-    recycling term is a stacked batch product when operators are dense.
+    With vec(A rho B) = (A kron B^T) vec(rho) and
+    H_eff = H - (i/2) sum_j L_j^dag L_j, the generator is
+    -i H_eff kron 1 + i 1 kron conj(H_eff) + sum_j L_j kron conj(L_j).
     """
-    Hm = _as_matrix(H)
-    mats = [_as_matrix(L) for L in _jump_matrices(jumps)]
-    dense = not sp.issparse(Hm) and all(not sp.issparse(m) for m in mats)
-    if dense:
-        dim = Hm.shape[0]
-        Ls = np.stack(mats).astype(complex) if mats else np.zeros((0, dim, dim), complex)
-        ldl = sum(L.conj().T @ L for L in Ls) if len(Ls) else np.zeros((dim, dim))
-        heff = Hm.astype(complex) - 0.5j * ldl
-        heff_dag = heff.conj().T.copy()
-        Lds = Ls.conj().transpose(0, 2, 1).copy()
-
-        def rhs(rho):
-            out = -1j * (heff @ rho) + 1j * (rho @ heff_dag)
-            if len(Ls):
-                out += np.add.reduce(Ls @ rho @ Lds)
-            return out
-
-    else:
-        ldl_s = sum((L.conj().T @ L for L in mats), sp.csr_matrix(Hm.shape))
-        heff_s = sp.csr_matrix(Hm - 0.5j * ldl_s)
-        heff_dag_s = heff_s.conj().T.tocsr()
-        pairs = [(L.tocsr(), L.conj().T.tocsr()) for L in mats]
-
-        def rhs(rho):
-            out = -1j * (heff_s @ rho) + 1j * (rho @ heff_dag_s)
-            for L, Ld in pairs:
-                out += L @ rho @ Ld
-            return out
-
-    return rhs
+    H = sp.csr_matrix(H, dtype=complex)
+    mats = [sp.csr_matrix(L, dtype=complex) for L in _jump_matrices(jumps)]
+    heff = H - 0.5j * sum((L.conj().T @ L for L in mats), sp.csr_matrix(H.shape))
+    eye = sp.identity(H.shape[0], dtype=complex, format="csr")
+    gen = -1j * sp.kron(heff, eye) + 1j * sp.kron(eye, heff.conj())
+    for L in mats:
+        gen = gen + sp.kron(L, L.conj())
+    return gen.tocsr()
 
 
-def _rk4_step(rhs, rho, h):
-    k1 = rhs(rho)
-    k2 = rhs(rho + (0.5 * h) * k1)
-    k3 = rhs(rho + (0.5 * h) * k2)
-    k4 = rhs(rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
+    """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0.
+
+    The first sample time is reached with one expm_multiply call, the rest
+    of the grid with its interval form. That form starts at 0 because with
+    start > 0 and a large ||L|| t it overflowed (scipy 1.17). Its 1-norm
+    estimate draws from numpy's global RNG, so the global seed is pinned for
+    the call and the caller's RNG state restored afterwards: equal inputs
+    give equal bytes. A trace or hermiticity drift above DRIFT_LIMIT raises
+    RuntimeError; snapshots whose trace drifts by more than RENORM_THRESHOLD
+    are renormalized and counted.
+    """
+    # imported here: scipy.sparse.linalg adds ~0.15 s to `import ryddecay.cli`
+    from scipy.sparse.linalg import expm_multiply
+
+    times = np.asarray(times, dtype=float)
+    span = times[-1] - times[0]
+    if len(times) > 2 and not np.allclose(
+        np.diff(times), span / (len(times) - 1), rtol=1e-9, atol=0
+    ):
+        raise ValueError("sample times must be equally spaced")
+    dim = rho0.shape[0]
+    v = np.array(rho0, dtype=complex).reshape(-1)
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        if times[0] > 0:
+            v = expm_multiply(L * times[0], v)
+        if len(times) > 1:
+            v = expm_multiply(L, v, start=0.0, stop=span, num=len(times), endpoint=True)
+    finally:
+        np.random.set_state(rng_state)
+
+    result = IntegrationResult(times=times, states=list(v.reshape(len(times), dim, dim)))
+    for rho in result.states:
+        tr = rho.trace()
+        trace_drift = abs(tr - 1.0)
+        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
+        if not (trace_drift <= DRIFT_LIMIT and herm_drift <= DRIFT_LIMIT):
+            raise RuntimeError(
+                f"propagation drift above {DRIFT_LIMIT:g}: trace {trace_drift:.2e}, "
+                f"hermiticity {herm_drift:.2e}"
+            )
+        result.max_trace_drift = max(result.max_trace_drift, trace_drift)
+        result.max_herm_drift = max(result.max_herm_drift, herm_drift)
+        if trace_drift > RENORM_THRESHOLD:
+            rho /= tr
+            result.renormalizations += 1
+    return result
 
 
 def integrate_exact(
@@ -203,18 +209,13 @@ def integrate_exact(
     H,
     jumps,
     t_final: float,
-    dt: float = DEFAULT_DT,
     sample_times=None,
-    check_every: int = 200,
 ) -> IntegrationResult:
-    """Fixed-step RK4 propagation with snapshots at the requested times.
+    """Exact propagation of the Lindblad equation, with snapshots at
+    equally spaced sample times in [0, t_final] (default: t_final alone).
 
-    Steps are shortened where needed to land exactly on sample times. Trace
-    and hermiticity drift above 1e-6 abort the attempt and restart with dt/2
-    (up to 6 halvings); snapshots are trace-renormalized when the drift
-    exceeds 1e-12 (the event is counted, not hidden).
+    Any other grid raises ValueError; see propagate for the drift checks.
     """
-    check_dt(dt)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[0] > 1024:
         raise ValueError("exact integration supports dim <= 1024 (N <= 10)")
@@ -222,62 +223,11 @@ def integrate_exact(
     if sample_times is None:
         sample_times = np.array([t_final])
     sample_times = np.unique(np.atleast_1d(np.asarray(sample_times, dtype=float)))
+    if len(sample_times) == 0:
+        raise ValueError("sample times must not be empty")
     if np.any(sample_times < 0) or np.any(sample_times > t_final + 1e-12):
         raise ValueError("sample times must lie in [0, t_final]")
-    rhs = _make_rhs(H, jumps)
-
-    for halvings in range(7):
-        step = dt / (2**halvings)
-        result = _integrate_attempt(rhs, rho0, t_final, step, sample_times, check_every)
-        if result is not None:
-            result.halvings = halvings
-            return result
-    raise RuntimeError(
-        "integration unstable: trace/hermiticity drift exceeded 1e-6 even after 6 step halvings"
-    )
-
-
-def _integrate_attempt(rhs, rho0, t_final, dt, sample_times, check_every):
-    rho = rho0.copy()
-    t = 0.0
-    out: list[np.ndarray] = []
-    renorms = 0
-    max_tr = 0.0
-    max_herm = 0.0
-    events = sorted(set(np.concatenate([sample_times, [t_final]])))
-    steps_done = 0
-    for target in events:
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            rho = _rk4_step(rhs, rho, h)
-            t += h
-            steps_done += 1
-            if steps_done % check_every == 0:
-                drift = abs(rho.trace().real - 1.0) + abs(rho.trace().imag)
-                if drift > 1e-6 or not np.isfinite(drift):
-                    return None
-        t = target
-        if np.any(np.isclose(sample_times, target, rtol=0, atol=1e-12)):
-            tr = rho.trace()
-            trace_drift = abs(tr - 1.0)
-            herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-            max_tr = max(max_tr, trace_drift)
-            max_herm = max(max_herm, herm_drift)
-            if trace_drift > 1e-6 or herm_drift > 1e-6:
-                return None
-            snap = rho.copy()
-            if trace_drift > 1e-12:
-                snap /= tr
-                renorms += 1
-            out.append(snap)
-    return IntegrationResult(
-        times=np.asarray(sample_times, dtype=float),
-        states=out,
-        dt=dt,
-        renormalizations=renorms,
-        max_trace_drift=max_tr,
-        max_herm_drift=max_herm,
-    )
+    return propagate(liouvillian(H, jumps), rho0, sample_times)
 
 
 def excitation_density(rho: np.ndarray, lattice: LatticeSpec) -> float:
@@ -307,48 +257,24 @@ def steady_state_window_average(series: ObservableSeries, gamma: float = 1.0) ->
     return float(np.mean(np.interp(tw, series.times, series.values)))
 
 
-def relative_difference(n_c: float, n_s: float) -> float:
-    """(n_c - n_s) / n_s with a division guard."""
-    if abs(n_s) < 1e-12:
-        raise ValueError("single-model steady-state density too small for a relative difference")
-    return (n_c - n_s) / n_s
-
-
 # ---------------------------------------------------------------------------
-# batched (Delta, Omega) steady-state scan
+# (Delta, Omega) steady-state scan
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SteadyStateScan:
-    """Window-averaged excitation densities over a (Delta, Omega) grid."""
+    """Window-averaged excitation densities over a (Delta, Omega) grid,
+    with the largest drift that propagate saw over all cells."""
 
     delta_values: np.ndarray
     omega_values: np.ndarray
     n_single: np.ndarray      # shape (len(delta), len(omega))
     n_collective: np.ndarray
     t_final: float
-    dt: float
+    max_trace_drift: float = 0.0
+    max_herm_drift: float = 0.0
     errors: list[str] = field(default_factory=list)
-
-    @property
-    def contrast(self) -> np.ndarray:
-        """delta n_ss = (n_c - n_s)/n_s elementwise (nan where guarded)."""
-        out = np.full_like(self.n_single, np.nan)
-        ok = np.abs(self.n_single) >= 1e-12
-        out[ok] = (self.n_collective[ok] - self.n_single[ok]) / self.n_single[ok]
-        return out
-
-
-def _collective_masks(lattice: LatticeSpec) -> list[np.ndarray]:
-    """Per site k: 0/1 matrix M[i,j] = 1 iff i and j have the same excited
-    neighbor count of k. sum_xi P^xi A P^xi = A * M elementwise."""
-    table = neighbor_table(lattice)
-    masks = []
-    for k in range(lattice.site_count):
-        cnt = neighbor_count_vector(lattice, table, k)
-        masks.append((cnt[:, None] == cnt[None, :]).astype(float))
-    return masks
 
 
 def scan_steady_state(
@@ -358,131 +284,61 @@ def scan_steady_state(
     omega_values: np.ndarray,
     models=(SINGLE, COLLECTIVE),
     t_final: float = 5.0,
-    dt: float = DEFAULT_DT,
     rho0: np.ndarray | None = None,
-    max_batch_bytes: int = 256 * 2**20,
 ) -> SteadyStateScan:
     """Driven protocol of the steady-state figure over a parameter grid.
 
-    Every (Delta, Omega, model) cell is integrated from the all-down state
-    (or rho0) to t_final with the shared RK4 rule, all cells stacked into one
-    array batch; <n>(t) is recorded at the 100 window times and averaged.
+    Every (Delta, Omega, model) cell is propagated from the all-down state
+    (or rho0); <n>(t) is sampled at the 100 window times and averaged. The
+    driven Hamiltonian is linear in Delta and Omega and the dissipator
+    depends on neither, so each model's generator is assembled once as
+    L(Delta, Omega) = L0 + Delta L_Delta + Omega L_Omega. A cell whose
+    propagation fails its drift check is left NaN and named in errors.
     """
     for m in models:
         check_model(m)
-    check_dt(dt)
     delta_values = np.asarray(delta_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     n = lattice.site_count
     dim = 1 << n
     if dim > 1024:
         raise ValueError("exact scan supports dim <= 1024 (N <= 10)")
-    gamma = params.gamma
-    tw = window_times(gamma)
+    tw = window_times(params.gamma)
     if t_final < tw[-1] - 1e-12:
         raise ValueError("t_final must cover the averaging window")
-
-    exc = excitation_count_vector(lattice)
-    table = neighbor_table(lattice)
-    vdiag = np.zeros(dim)
-    for a, b in table.bond_list:
-        vdiag += params.V * occupation_vector(lattice, a) * occupation_vector(lattice, b)
-    sx_pattern = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for k in range(n):
-        mask_bit = 1 << (n - 1 - k)
-        sx_pattern[idx ^ mask_bit, idx] += 1.0
-    masks = _collective_masks(lattice)
-
     if rho0 is None:
         rho0 = vacuum_density(dim)
     check_density_matrix(rho0)
 
-    cells = [(i, j) for i in range(len(delta_values)) for j in range(len(omega_values))]
-    per_cell_bytes = 16 * dim * dim * 8  # rho + RK4 temporaries
-    chunk = max(1, min(len(cells), max_batch_bytes // per_cell_bytes))
+    table = neighbor_table(lattice)
 
-    results = {m: np.full((len(delta_values), len(omega_values)), np.nan) for m in models}
-    errors: list[str] = []
-    for m in models:
-        for start in range(0, len(cells), chunk):
-            batch = cells[start : start + chunk]
-            navg = _scan_batch(
-                batch, delta_values, omega_values, exc, vdiag, sx_pattern, masks,
-                gamma, m, rho0, t_final, dt, tw, n,
-            )
-            for (i, j), val in zip(batch, navg):
-                if np.isfinite(val):
-                    results[m][i, j] = val
-                else:
-                    errors.append(f"model={m} Delta={delta_values[i]} Omega={omega_values[j]}: non-finite")
-    return SteadyStateScan(
+    def hamiltonian(**terms):
+        return driven_hamiltonian(lattice, table, ModelParams(**terms))
+
+    l_delta = liouvillian(hamiltonian(Delta=1.0), ())
+    l_omega = liouvillian(hamiltonian(Omega=1.0), ())
+    h_bonds = hamiltonian(V=params.V)
+    exc = excitation_count_vector(lattice)
+
+    scan = SteadyStateScan(
         delta_values=delta_values,
         omega_values=omega_values,
-        n_single=results.get(SINGLE, np.full((len(delta_values), len(omega_values)), np.nan)),
-        n_collective=results.get(COLLECTIVE, np.full((len(delta_values), len(omega_values)), np.nan)),
+        n_single=np.full((len(delta_values), len(omega_values)), np.nan),
+        n_collective=np.full((len(delta_values), len(omega_values)), np.nan),
         t_final=t_final,
-        dt=dt,
-        errors=errors,
     )
-
-
-def _scan_batch(
-    batch, delta_values, omega_values, exc, vdiag, sx_pattern, masks,
-    gamma, model, rho0, t_final, dt, tw, n_sites,
-):
-    dim = len(exc)
-    C = len(batch)
-    deltas = np.array([delta_values[i] for i, _ in batch])
-    omegas = np.array([omega_values[j] for _, j in batch])
-    # H_eff = diag(Delta*exc + V*bonds) + Omega*S - (i gamma/2) diag(exc)
-    heff = omegas[:, None, None] * sx_pattern[None, :, :] + 0.0j
-    diag = deltas[:, None] * exc[None, :] + vdiag[None, :] - 0.5j * gamma * exc[None, :]
-    heff[:, np.arange(dim), np.arange(dim)] += diag
-    heff_dag = heff.conj().transpose(0, 2, 1).copy()
-
-    single = model == SINGLE
-    site_views = []
-    for k in range(n_sites):
-        s = n_sites - 1 - k
-        hi = 1 << (n_sites - 1 - s)
-        lo = 1 << s
-        blk_mask = None
-        if not single:
-            m = masks[k]
-            blk_mask = m.reshape(hi, 2, lo, hi, 2, lo)[:, 1, :, :, 1, :]
-        site_views.append((hi, lo, blk_mask))
-
-    def rhs(rho):
-        out = -1j * (heff @ rho) + 1j * (rho @ heff_dag)
-        for hi, lo, blk_mask in site_views:
-            r6 = rho.reshape(C, hi, 2, lo, hi, 2, lo)
-            o6 = out.reshape(C, hi, 2, lo, hi, 2, lo)
-            blk = r6[:, :, 1, :, :, 1, :]
-            if blk_mask is not None:
-                o6[:, :, 0, :, :, 0, :] += gamma * (blk * blk_mask)
-            else:
-                o6[:, :, 0, :, :, 0, :] += gamma * blk
-        return out
-
-    rho = np.broadcast_to(rho0, (C, dim, dim)).astype(complex).copy()
-    t = 0.0
-    samples = np.zeros((len(tw), C))
-    events = list(tw)
-    if events[-1] < t_final - 1e-12:
-        events.append(t_final)
-    ptr = 0
-    for target in events:
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            k1 = rhs(rho)
-            k2 = rhs(rho + (0.5 * h) * k1)
-            k3 = rhs(rho + (0.5 * h) * k2)
-            k4 = rhs(rho + h * k3)
-            rho += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        t = target
-        if ptr < len(tw) and abs(target - tw[ptr]) < 1e-12:
-            samples[ptr] = np.einsum("cii,i->c", rho, exc).real / n_sites
-            ptr += 1
-    return samples.mean(axis=0)
+    for m in models:
+        l0 = liouvillian(h_bonds, jump_operators(lattice, table, params, m))
+        out = scan.n_single if m == SINGLE else scan.n_collective
+        for i, delta in enumerate(delta_values):
+            for j, omega in enumerate(omega_values):
+                try:
+                    res = propagate(l0 + delta * l_delta + omega * l_omega, rho0, tw)
+                except RuntimeError as err:
+                    scan.errors.append(f"model={m} Delta={delta} Omega={omega}: {err}")
+                    continue
+                out[i, j] = np.mean([exc @ rho.diagonal().real for rho in res.states]) / n
+                scan.max_trace_drift = max(scan.max_trace_drift, res.max_trace_drift)
+                scan.max_herm_drift = max(scan.max_herm_drift, res.max_herm_drift)
+                del res  # free this cell's window before the next one is propagated
+    return scan

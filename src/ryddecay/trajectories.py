@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import LatticeSpec, neighbor_table
-from .master_equation import DEFAULT_DT, check_dt
 from .operators import (
     ModelParams,
     check_model,
@@ -34,7 +33,15 @@ from .operators import (
     driven_hamiltonian,
 )
 
+DEFAULT_DT = 1e-3
 JUMP_TIME_TOL = 1e-10
+
+
+def check_dt(dt: float) -> None:
+    """Reject a step that is not finite and positive: a fixed-step loop
+    would never reach its end time with it."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
 
 @dataclass

@@ -4,8 +4,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ryddecay.cli import main
+from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, _contrast, _fmt, main
 
 
 def read_csv(path):
@@ -98,6 +99,9 @@ def test_steady_state_small_grid(tmp_path):
     assert manifest["command"] == "steady-state"
     assert manifest["errors"] == []
     assert manifest["integrator"]["window"] == [4.75, 5.0]
+    assert manifest["integrator"]["method"] == "expm_multiply"
+    assert 0.0 <= manifest["integrator"]["max_trace_drift"] < 1e-10
+    assert 0.0 <= manifest["integrator"]["max_herm_drift"] < 1e-10
 
 
 def test_steady_state_weak_drive_stays_empty(tmp_path):
@@ -174,6 +178,75 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     run(tmp_path, "trajectories", one_cell("trajectories"),
         extra_args=["--threads", threads], expect=1)
     assert "threads must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("coherence", {"dt": "x"}, "dt must be a number"),
+    ("coherence", {"verify_N": 4.0}, "verify_N must be an integer"),
+    ("coherence", {"n_times": 0}, "n_times must be an integer >= 1"),
+    ("steady-state", {"V": "10"}, "V must be a number"),
+    ("steady-state", {"dt": "x"}, "dt must be a number"),
+    ("steady-state", {"omega_min": [1.0]}, "omega_min must be a number"),
+    ("steady-state", {"n_delta": 0}, "n_delta must be an integer >= 1"),
+    ("trajectories", {"n_traj": 2.0}, "n_traj must be an integer"),
+    ("trajectories", {"model": 1}, "model must be a string"),
+    ("trajectories", {"n_omega": 0}, "n_omega must be an integer >= 1"),
+    ("meanfield", {"V": True}, "V must be a number"),
+    ("meanfield", {"refine_critical": 1}, "refine_critical must be true or false"),
+    ("meanfield", {"cut_n_delta": 0}, "cut_n_delta must be an integer >= 1"),
+])
+def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
+    if command in ("steady-state", "trajectories"):
+        cfg = one_cell(command, **cfg)
+    with deadline(30):
+        run(tmp_path, command, cfg, expect=1)
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+WRONG_TYPED = {
+    float: st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                     st.lists(st.integers(), max_size=2)),
+    int: st.one_of(st.floats(), st.text(max_size=3), st.booleans(), st.none()),
+    str: st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                   st.lists(st.text(max_size=2), max_size=2)),
+    bool: st.one_of(st.integers(), st.text(max_size=3), st.none()),
+    list: st.one_of(st.text(max_size=3), st.integers(), st.none()),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_typed_config_exits_1(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(DEFAULTS)))
+    key = data.draw(st.sampled_from(sorted(DEFAULTS[command])))
+    default = DEFAULTS[command][key]
+    wrong = WRONG_TYPED[NONE_DEFAULT_TYPES.get(key, type(default))]
+    if default is None:
+        wrong = wrong.filter(lambda v: v is not None)
+    with deadline(30):
+        run(tmp_path, command, {key: data.draw(wrong)}, expect=1)
+
+
+def test_contrast():
+    assert _contrast(0.4, 0.2) == pytest.approx(1.0)
+    assert _contrast(0.3, 0.3) == 0.0
+    assert _contrast(0.3, 0.1) == pytest.approx(2.0)
+    # a guarded n_s gives no value, written as an empty CSV field
+    assert _contrast(0.3, 0.0) is None
+    assert _fmt(_contrast(0.3, 0.0)) == ""
+
+
+def test_steady_state_round_trip_bytes(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.mkdir(); b.mkdir()
+    run(a, "steady-state", one_cell("steady-state", model="both"))
+    rc = main(["steady-state", "--out", str(b),
+               "--config", str(a / "steady_state_manifest.json")])
+    assert rc == 0
+    assert (a / "steady_state.csv").read_bytes() == (b / "steady_state.csv").read_bytes()
 
 
 def test_trajectories_output_and_determinism(tmp_path):

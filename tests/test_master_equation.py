@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import ryddecay
 from ryddecay.lattice import LatticeSpec
 from ryddecay.master_equation import (
     ObservableSeries,
@@ -8,9 +15,10 @@ from ryddecay.master_equation import (
     excitation_density,
     integrate_exact,
     lindblad_rhs,
+    liouvillian,
     product_density,
+    propagate,
     pure_state_density,
-    relative_difference,
     scan_steady_state,
     steady_state_window_average,
     vacuum_density,
@@ -192,14 +200,6 @@ def test_window_average_requires_coverage():
         )
 
 
-def test_relative_difference():
-    assert relative_difference(0.4, 0.2) == pytest.approx(1.0)
-    assert relative_difference(0.3, 0.3) == 0.0
-    assert relative_difference(0.3, 0.1) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        relative_difference(0.3, 0.0)
-
-
 def test_scan_matches_single_cell_integration():
     mp = ModelParams(V=10.0, gamma=1.0)
     scan = scan_steady_state(
@@ -222,3 +222,57 @@ def test_scan_requires_window_coverage():
         scan_steady_state(
             LAT3, ModelParams(V=10.0), np.array([0.0]), np.array([1.0]), t_final=2.0
         )
+
+
+@pytest.mark.parametrize("lattice", [LAT3, LAT4])
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+def test_liouvillian_matches_operator_product_rhs(lattice, model):
+    h, jumps = build_system(lattice, ModelParams(V=10.0, Omega=2.5, Delta=-6.0), model)
+    gen = liouvillian(h, jumps)
+    rng = np.random.default_rng(17)
+    dim = h.shape[0]
+    for _ in range(3):
+        rho = random_density(rng, dim)
+        applied = (gen @ rho.reshape(-1)).reshape(dim, dim)
+        assert np.max(np.abs(applied - lindblad_rhs(rho, h, jumps))) < 1e-12
+
+
+def test_propagate_rejects_trace_loss():
+    decay = -sp.identity(4, format="csr")
+    with pytest.raises(RuntimeError, match="drift"):
+        propagate(decay, vacuum_density(2), np.array([0.0, 1.0]))
+
+
+def test_unequally_spaced_sample_times_rejected():
+    h, jumps = build_system(LAT3, ModelParams(V=10.0), COLLECTIVE)
+    with pytest.raises(ValueError, match="equally spaced"):
+        integrate_exact(vacuum_density(8), h, jumps, 1.0, sample_times=[0.1, 0.2, 0.5])
+
+
+def _same_rng_state(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+
+
+def test_scan_bytes_independent_of_global_rng():
+    outputs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        scan = scan_steady_state(
+            LAT4, ModelParams(V=10.0), np.array([-30.0, -6.0]), np.array([2.5, 10.0])
+        )
+        assert _same_rng_state(before, np.random.get_state())
+        outputs.append((scan.n_single.tobytes(), scan.n_collective.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    src = str(Path(ryddecay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ryddecay.cli; print('scipy.sparse.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

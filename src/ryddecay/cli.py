@@ -23,6 +23,7 @@ import copy
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,12 @@ from .meanfield import (
     scan_phase_diagram,
 )
 from .operators import COLLECTIVE, MODELS, SINGLE, ModelParams, check_model
-from .trajectories import DEFAULT_DT, check_dt, run_ensemble
+from .trajectories import COND_LIMIT, run_ensemble
+
+# no workflow steps in time; older configs and manifests still carry dt
+DEFAULT_DT = 1e-3
+# at N = 10 the exact scan's window takes 1.7 GB and eig of H_eff 4.7 s
+MAX_SITES = 10
 
 DEFAULTS: dict[str, dict] = {
     "coherence": {
@@ -51,7 +57,7 @@ DEFAULTS: dict[str, dict] = {
         "n_times": 201,
         "models": [SINGLE, COLLECTIVE],
         "verify_N": None,   # periodic chain length for the exact cross-check columns
-        "dt": DEFAULT_DT,   # accepted and validated; only trajectories steps with it
+        "dt": DEFAULT_DT,
     },
     "steady-state": {
         "N": 4,
@@ -67,7 +73,7 @@ DEFAULTS: dict[str, dict] = {
         "n_omega": 21,
         "model": "both",
         "t_final": 5.0,
-        "dt": DEFAULT_DT,   # accepted and validated; only trajectories steps with it
+        "dt": DEFAULT_DT,
     },
     "trajectories": {
         "N": 4,
@@ -111,6 +117,8 @@ DEFAULTS: dict[str, dict] = {
 NONE_DEFAULT_TYPES = {"verify_N": int, "omega_min": float}
 # integer keys that must be >= 1
 COUNT_KEYS = ("n_delta", "n_omega", "n_times", "cut_n_delta", "threads")
+# float keys that must be > 0; every other float key must be finite
+POSITIVE_KEYS = ("gamma", "t_final", "t_max", "dt")
 TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
               list: "a list"}
 
@@ -172,19 +180,18 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
         if val is not None:
             cfg[key] = val
     for key, default in DEFAULTS[command].items():
-        _check_type(key, cfg[key], default)
+        _check_value(key, cfg[key], default)
     for key in COUNT_KEYS:
         if key in cfg and cfg[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    if "dt" in cfg:
-        check_dt(cfg["dt"])
     return cfg
 
 
-def _check_type(key: str, value, default) -> None:
+def _check_value(key: str, value, default) -> None:
     """A value must have its default's type: a float key takes any JSON
     number except a bool, an integer key a JSON integer only, and None is
-    accepted where it is the default."""
+    accepted where it is the default. A float must be finite, and positive
+    for POSITIVE_KEYS."""
     if value is None and default is None:
         return
     expected = NONE_DEFAULT_TYPES.get(key, type(default))
@@ -196,6 +203,10 @@ def _check_type(key: str, value, default) -> None:
         ok = isinstance(value, expected)
     if not ok:
         raise ValueError(f"{key} must be {TYPE_NAMES[expected]}, got {value!r}")
+    if expected is float and key in POSITIVE_KEYS and not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be finite and positive, got {value!r}")
+    if expected is float and not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 def _omega_grid(cfg) -> np.ndarray:
@@ -207,6 +218,14 @@ def _omega_grid(cfg) -> np.ndarray:
 
 def _delta_grid(cfg) -> np.ndarray:
     return np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
+
+
+def _chain(cfg):
+    """The config's chain, checked against MAX_SITES before any operator is built."""
+    if cfg["N"] > MAX_SITES:
+        raise ValueError(f"N <= {MAX_SITES} is required (operators on 2^N states "
+                         f"are held densely), got N = {cfg['N']}")
+    return build_lattice(1, (cfg["N"],), cfg["boundary"])
 
 
 def _models(cfg) -> tuple[str, ...]:
@@ -290,12 +309,7 @@ def _contrast(n_c, n_s):
 def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
-    if n_sites > 10:
-        raise ValueError(
-            "exact integration is limited to N <= 10; use the trajectories "
-            "command for larger systems"
-        )
-    lat = build_lattice(1, (n_sites,), cfg["boundary"])
+    lat = _chain(cfg)
     mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     scan = scan_steady_state(
@@ -330,7 +344,7 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
-    lat = build_lattice(1, (n_sites,), cfg["boundary"])
+    lat = _chain(cfg)
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     models = _models(cfg)
     gamma = cfg["gamma"]
@@ -347,6 +361,9 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     )
 
     stats: dict[str, dict[tuple[int, int], tuple[float, float]]] = {m: {} for m in models}
+    # jumps per xi ("all" for the single model), per model and per CSV row
+    jump_counts: dict[str, list[dict[str, int]]] = {m: [] for m in models}
+    propagator = {"cond_limit": COND_LIMIT, "max_cond": 0.0, "expm_cells": []}
     idx = 0
     for m in models:
         for i, D in enumerate(deltas):
@@ -355,10 +372,16 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                                  Omega=float(O), Delta=float(D))
                 ens = run_ensemble(
                     lat, mp, m, psi0, int(cfg["n_traj"]), int(cell_seeds[idx]),
-                    t_final=cfg["t_final"], dt=cfg["dt"],
+                    t_final=cfg["t_final"],
                     sample_times=sample_times, threads=cfg["threads"],
                 )
                 stats[m][(i, j)] = ens.window_statistics(tw)
+                jump_counts[m].append({"all" if xi is None else str(xi): n
+                                       for xi, n in ens.jump_counts.items()})
+                propagator["max_cond"] = max(propagator["max_cond"], ens.cond)
+                if not ens.cond <= COND_LIMIT:
+                    propagator["expm_cells"].append(
+                        {"model": m, "Delta": float(D), "Omega": float(O)})
                 idx += 1
 
     def cell(i, j):
@@ -377,7 +400,10 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     write_manifest(
         manifest, "trajectories", cfg, [csv_path.name], time.monotonic() - t0,
         extra={"master_seed": int(cfg["seed"]),
-               "lattice": {"dimension": 1, "extents": [n_sites], "boundary": cfg["boundary"]}},
+               "lattice": {"dimension": 1, "extents": [n_sites], "boundary": cfg["boundary"]},
+               "jump_counts": {m: {"total": dict(sum(map(Counter, rows), Counter())), "rows": rows}
+                               for m, rows in jump_counts.items()},
+               "no_jump_propagator": propagator},
     )
     return [csv_path, manifest]
 

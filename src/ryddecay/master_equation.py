@@ -5,8 +5,7 @@ assembles the generator on row-major vec(rho) once, and propagate evaluates
 exp(tL) vec(rho0) on an equally spaced sample grid with
 scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 488 (2011)). Every snapshot is checked for trace and hermiticity drift.
-Dimensions up to 2^10 are supported; beyond that use the quantum jump
-trajectory module.
+Dimensions up to 2^10 (N <= 10 sites) are supported.
 
 integrate_exact propagates one system; scan_steady_state runs the driven
 steady-state protocol over a (Delta, Omega) grid for both dissipation models

@@ -1,23 +1,24 @@
 """Quantum-jump Monte Carlo unraveling of either dissipation model.
 
-Waiting-time (norm-threshold) algorithm: the state evolves non-unitarily
-under H_eff = H - (i/2) sum_j L_j^dag L_j with fixed-step RK4; a jump fires
-when the squared norm falls below a uniform draw, the jump time is refined by
-bisection to 1e-10/gamma, the channel is drawn proportionally to
-||L_j psi||^2, and the state is projected and renormalized. The squared norm
-is monotone non-increasing between jumps, so the threshold crossing inside a
-step is unique.
+Waiting-time algorithm (Dalibard, Castin & Molmer, PRL 68, 580 (1992)):
+between jumps psi(t0 + tau) = V exp(-i lam tau) V^-1 psi(t0), from one
+eigendecomposition H_eff = H - (i/2) sum_j L_j^dag L_j = V diag(lam) V^-1 per
+ensemble (dense expm if cond(V) > COND_LIMIT), on all remaining sample times
+at once. The norm does not increase between jumps, so the first sample at or
+below a uniform threshold brackets the jump, whose time is refined on the
+closed form to JUMP_TIME_TOL; the channel is drawn by ||L_j psi||^2.
 
 Per-trajectory seeds are spawned from the master seed with
 numpy.random.SeedSequence, so trajectory i sees the same random stream no
 matter how the ensemble is scheduled; the merge reduces in trajectory-index
-order, making ensemble output bytes a function of (master_seed, n_traj, dt)
+order, making ensemble output bytes a function of (master_seed, n_traj)
 alone.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,15 +34,14 @@ from .operators import (
     driven_hamiltonian,
 )
 
-DEFAULT_DT = 1e-3
 JUMP_TIME_TOL = 1e-10
-
-
-def check_dt(dt: float) -> None:
-    """Reject a step that is not finite and positive: a fixed-step loop
-    would never reach its end time with it."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+# Largest cond(V) for which the eigenbasis is trusted. The N = 1 atom at
+# Delta = 0, Omega = gamma/4 is an exceptional point of H_eff; there cond(V)
+# reads about 9e7 and the closed form is off by 3.5e-9 from expm.
+COND_LIMIT = 1e6
+# intervals per pass of the jump-time search: a 0.1 bracket reaches
+# JUMP_TIME_TOL in 6 passes
+BRACKET_POINTS = 32
 
 
 @dataclass
@@ -66,6 +66,8 @@ class TrajectoryEnsembleResult:
     n_traj: int
     master_seed: int
     samples: np.ndarray = field(repr=False, default=None)  # (n_traj, n_times)
+    jump_counts: dict = field(default_factory=dict)  # xi (None: single) -> jumps
+    cond: float = float("nan")  # cond(V) of H_eff; above COND_LIMIT expm was used
 
     def window_statistics(self, window_times: np.ndarray) -> tuple[float, float]:
         """Across-trajectory mean and standard error of the per-trajectory
@@ -91,27 +93,35 @@ def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
     return acc.tocsr()
 
 
-def _dense(op):
-    if sp.issparse(op):
-        return op.toarray() if op.shape[0] <= 512 else op.tocsr()
-    return np.asarray(op)
+@dataclass
+class NoJumpPropagator:
+    """exp(-i H_eff tau) from H_eff = vecs diag(lam) inv, or from dense expm
+    of h when cond exceeds COND_LIMIT (then lam, vecs and inv are None)."""
+
+    h: np.ndarray
+    cond: float
+    lam: np.ndarray | None = None
+    vecs: np.ndarray | None = None
+    inv: np.ndarray | None = None
+
+    def __call__(self, psi: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """The states at offsets taus from psi, one row per offset."""
+        if self.vecs is None:
+            from scipy.linalg import expm
+
+            return np.array([expm(-1j * tau * self.h) @ psi for tau in taus])
+        phases = np.exp(-1j * np.multiply.outer(taus, self.lam))
+        return (phases * (self.inv @ psi)) @ self.vecs.T
 
 
-class _Stepper:
-    """RK4 propagation of d psi/dt = -i H_eff psi."""
-
-    def __init__(self, h_eff):
-        self.h = _dense(h_eff)
-
-    def derivative(self, psi):
-        return -1j * (self.h @ psi)
-
-    def step(self, psi, h):
-        k1 = self.derivative(psi)
-        k2 = self.derivative(psi + (0.5 * h) * k1)
-        k3 = self.derivative(psi + (0.5 * h) * k2)
-        k4 = self.derivative(psi + h * k3)
-        return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def no_jump_propagator(h_eff) -> NoJumpPropagator:
+    """Diagonalise H_eff (sparse or dense) once, for any number of trajectories."""
+    h = h_eff.toarray() if sp.issparse(h_eff) else np.asarray(h_eff, dtype=complex)
+    lam, vecs = np.linalg.eig(h)
+    cond = float(np.linalg.cond(vecs))
+    if not cond <= COND_LIMIT:
+        return NoJumpPropagator(h, cond)
+    return NoJumpPropagator(h, cond, lam, vecs, np.linalg.inv(vecs))
 
 
 def _norm2(psi):
@@ -123,19 +133,19 @@ def evolve_trajectory(
     h_eff,
     jumps,
     t_final: float,
-    dt: float = DEFAULT_DT,
     seed=0,
     sample_times=None,
     observable_diag: np.ndarray | None = None,
 ) -> TrajectoryResult:
     """One quantum-jump trajectory with observable samples on a fixed grid.
 
+    h_eff is the effective Hamiltonian or its NoJumpPropagator, which
+    run_ensemble shares among its trajectories.
     observable_diag is the diagonal of the sampled observable in the
     computational basis (defaults to nothing; pass excitation density /
     use run_ensemble for the standard protocol). Samples are taken from the
     normalized state.
     """
-    check_dt(dt)
     psi = np.asarray(psi0, dtype=complex).copy()
     nrm = np.sqrt(_norm2(psi))
     if abs(nrm - 1.0) > 1e-10:
@@ -150,81 +160,70 @@ def evolve_trajectory(
         raise ValueError("sample times must lie within [0, t_final]")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    stepper = _Stepper(h_eff)
+    prop = h_eff if isinstance(h_eff, NoJumpPropagator) else no_jump_propagator(h_eff)
     channels = list(jumps)
     mats = [(c.matrix if hasattr(c, "matrix") else c) for c in channels]
     labels = [
         (c.site, c.xi) if hasattr(c, "site") else (i, None)
         for i, c in enumerate(channels)
     ]
+    stacked = sp.vstack(mats).tocsr()  # one product gives every L_j psi
 
+    # jumps are looked for up to t_final, also past the last sample
+    grid = sample_times
+    if grid[-1] < t_final - 1e-12:
+        grid = np.append(grid, t_final)
     values = np.zeros(len(sample_times))
     jump_log: list[JumpEvent] = []
     threshold = rng.random()
-    t = 0.0
-    ptr = 0
-    alive = True  # False once the vacuum is reached (all weights zero)
-
-    def record(upto):
-        nonlocal ptr
-        while ptr < len(sample_times) and sample_times[ptr] <= upto + 1e-15:
-            if observable_diag is not None:
-                n2 = _norm2(psi)
-                values[ptr] = float(
-                    np.real(np.sum(observable_diag * np.abs(psi) ** 2)) / n2
-                )
-            ptr += 1
-
-    record(0.0)
-    events = [float(s) for s in sample_times if s > 1e-15]
-    if not events or events[-1] < t_final - 1e-12:
-        events.append(t_final)
-    for target in events:
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            prev = psi
-            prev_t = t
-            psi = stepper.step(psi, h)
-            t += h
-            while alive and _norm2(psi) <= threshold:
-                # bisect the crossing time within (prev_t, prev_t + h_cur]
-                lo, hi = 0.0, t - prev_t
-                while hi - lo > JUMP_TIME_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if _norm2(stepper.step(prev, mid)) <= threshold:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_jump = prev_t + hi
-                psi_at = stepper.step(prev, hi)
-                weights = np.array([_norm2(m @ psi_at) for m in mats])
-                total = weights.sum()
-                if total <= 0.0:
-                    alive = False
-                    psi = psi_at / np.sqrt(_norm2(psi_at))
-                    t = t_jump
-                    break
-                j = int(rng.choice(len(mats), p=weights / total))
-                site, xi = labels[j]
-                jump_log.append(JumpEvent(t_jump, site, xi))
-                psi = mats[j] @ psi_at
-                psi /= np.sqrt(_norm2(psi))
-                threshold = rng.random()
-                # finish the interrupted step from the jump time
-                prev = psi
-                prev_t = t_jump
-                rest = t - t_jump
-                psi = stepper.step(psi, rest) if rest > 0 else psi
-        t = target
-        record(t)
+    t0 = 0.0
+    ptr = 0  # first grid point not yet reached
+    while ptr < len(grid):
+        states = prop(psi, grid[ptr:] - t0)
+        p2 = np.abs(states) ** 2
+        n2 = np.sum(p2, axis=1)
+        below = np.flatnonzero(n2 <= threshold)
+        reached = below[0] if below.size else len(n2)
+        stop = min(ptr + reached, len(sample_times))
+        if observable_diag is not None:
+            # per-row sums over the whole block: a sample's bits do not
+            # depend on how many samples precede the jump
+            dens = np.sum(p2 * observable_diag, axis=1) / n2
+            values[ptr:stop] = dens[: stop - ptr]
+        if not below.size:
+            break
+        # the norm crosses the threshold once, in (lo, hi]: shrink that bracket
+        lo = grid[ptr + reached - 1] - t0 if reached else 0.0
+        hi, psi_at = grid[ptr + reached] - t0, states[reached]
+        while hi - lo > JUMP_TIME_TOL:
+            taus = np.linspace(lo, hi, BRACKET_POINTS + 1)
+            block = prop(psi, taus)
+            below = np.sum(np.abs(block) ** 2, axis=1) <= threshold
+            below[0], below[-1] = False, True  # known at the bracket's ends
+            k = int(np.argmax(below))
+            lo, hi, psi_at = taus[k - 1], taus[k], block[k]
+        t0 += hi
+        ptr += reached
+        amps = (stacked @ psi_at).reshape(len(mats), -1)
+        weights = np.sum(np.abs(amps) ** 2, axis=1)
+        total = weights.sum()
+        if total <= 0.0:
+            # no channel can fire: continue without jumps
+            psi = psi_at / np.sqrt(_norm2(psi_at))
+            threshold = -np.inf
+            continue
+        j = int(rng.choice(len(mats), p=weights / total))
+        jump_log.append(JumpEvent(t0, *labels[j]))
+        psi = amps[j] / np.sqrt(weights[j])
+        threshold = rng.random()
     return TrajectoryResult(sample_times, values, jump_log)
 
 
 def _run_one(args):
-    (idx, child, psi0, h_eff, jumps, t_final, dt, sample_times, obs) = args
+    child, psi0, prop, jumps, t_final, sample_times, obs = args
     rng = np.random.default_rng(child)
-    res = evolve_trajectory(psi0, h_eff, jumps, t_final, dt, rng, sample_times, obs)
-    return idx, res.values
+    res = evolve_trajectory(psi0, prop, jumps, t_final, rng, sample_times, obs)
+    return res.values, [ev.xi for ev in res.jumps]
 
 
 def run_ensemble(
@@ -235,7 +234,6 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     t_final: float = 5.0,
-    dt: float = DEFAULT_DT,
     sample_times=None,
     threads: int = 1,
 ) -> TrajectoryEnsembleResult:
@@ -246,29 +244,23 @@ def run_ensemble(
     table = neighbor_table(lattice)
     h = driven_hamiltonian(lattice, table, params)
     jumps = jump_operators(lattice, table, params, model)
-    h_eff = effective_hamiltonian(h, jumps)
+    prop = no_jump_propagator(effective_hamiltonian(h, jumps))
     obs = excitation_count_vector(lattice) / lattice.site_count
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 51)
     sample_times = np.asarray(sample_times, dtype=float)
 
     children = np.random.SeedSequence(master_seed).spawn(n_traj)
-    samples = np.zeros((n_traj, len(sample_times)))
+    tasks = [(child, psi0, prop, jumps, t_final, sample_times, obs) for child in children]
     workers = min(threads, n_traj, os.cpu_count() or 1)
     if workers <= 1:
-        for i, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            res = evolve_trajectory(psi0, h_eff, jumps, t_final, dt, rng, sample_times, obs)
-            samples[i] = res.values
+        results = [_run_one(task) for task in tasks]
     else:
-        tasks = [
-            (i, child, psi0, h_eff, jumps, t_final, dt, sample_times, obs)
-            for i, child in enumerate(children)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, vals in pool.map(_run_one, tasks, chunksize=8):
-                samples[idx] = vals
+            results = list(pool.map(_run_one, tasks, chunksize=8))
     # reduce in trajectory-index order: byte-identical for any scheduling
+    samples = np.array([values for values, _ in results])
+    jump_counts = Counter(xi for _, xis in results for xi in xis)
     mean = samples.mean(axis=0)
     if n_traj > 1:
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_traj)
@@ -281,4 +273,6 @@ def run_ensemble(
         n_traj=n_traj,
         master_seed=master_seed,
         samples=samples,
+        jump_counts=jump_counts,
+        cond=prop.cond,
     )

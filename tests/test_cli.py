@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, _contrast, _fmt, main
+from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, POSITIVE_KEYS, _contrast, _fmt, main
+from ryddecay.trajectories import COND_LIMIT
 
 
 def read_csv(path):
@@ -119,6 +120,12 @@ def test_steady_state_rejects_large_system(tmp_path, capsys):
     assert "N <= 10" in capsys.readouterr().err
 
 
+def test_trajectories_rejects_large_system(tmp_path, capsys):
+    with deadline(10):
+        run(tmp_path, "trajectories", {"N": 11}, expect=1)
+    assert "N <= 10" in capsys.readouterr().err
+
+
 TRAJ_CFG = {
     "N": 2, "boundary": "open", "V": 10.0,
     "delta_min": -6.0, "delta_max": -6.0, "n_delta": 1,
@@ -194,6 +201,12 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     ("meanfield", {"V": True}, "V must be a number"),
     ("meanfield", {"refine_critical": 1}, "refine_critical must be true or false"),
     ("meanfield", {"cut_n_delta": 0}, "cut_n_delta must be an integer >= 1"),
+    ("meanfield", {"V": float("nan")}, "V must be finite"),
+    ("steady-state", {"V": float("nan")}, "V must be finite"),
+    ("steady-state", {"gamma": 0.0}, "gamma must be finite and positive"),
+    ("coherence", {"t_max": -1.0}, "t_max must be finite and positive"),
+    ("trajectories", {"t_final": float("inf")}, "t_final must be finite and positive"),
+    ("trajectories", {"omega_max": float("-inf")}, "omega_max must be finite"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):
@@ -206,7 +219,8 @@ def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
 
 WRONG_TYPED = {
     float: st.one_of(st.text(max_size=3), st.booleans(), st.none(),
-                     st.lists(st.integers(), max_size=2)),
+                     st.lists(st.integers(), max_size=2),
+                     st.sampled_from([float("nan"), float("inf"), float("-inf")])),
     int: st.one_of(st.floats(), st.text(max_size=3), st.booleans(), st.none()),
     str: st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
                    st.lists(st.text(max_size=2), max_size=2)),
@@ -225,6 +239,8 @@ def test_wrong_typed_config_exits_1(tmp_path, data):
     wrong = WRONG_TYPED[NONE_DEFAULT_TYPES.get(key, type(default))]
     if default is None:
         wrong = wrong.filter(lambda v: v is not None)
+    if key in POSITIVE_KEYS:
+        wrong = st.one_of(wrong, st.floats(max_value=0.0))
     with deadline(30):
         run(tmp_path, command, {key: data.draw(wrong)}, expect=1)
 
@@ -262,6 +278,25 @@ def test_trajectories_output_and_determinism(tmp_path):
     assert 0.0 < row["n_ss_single"] < 1.0
     assert row["stderr_single"] > 0.0
     assert row["delta_n_ss"] is not None
+
+
+def test_trajectories_manifest_jump_counts(tmp_path):
+    cfg = {**TRAJ_CFG, "delta_min": -30.0, "n_delta": 2}
+    run(tmp_path, "trajectories", cfg)
+    _, columns, rows = read_csv(tmp_path / "trajectories.csv")
+    manifest = json.loads((tmp_path / "trajectories_manifest.json").read_text())
+    counts = manifest["jump_counts"]
+    assert sorted(counts) == ["collective", "single"]
+    for model, keys in (("single", {"all"}), ("collective", {"0", "1"})):
+        per_row = counts[model]["rows"]
+        assert len(per_row) == len(rows)
+        assert all(set(row) <= keys for row in per_row)
+        total = {k: sum(row.get(k, 0) for row in per_row) for k in keys}
+        assert counts[model]["total"] == {k: n for k, n in total.items() if n}
+        assert sum(total.values()) > 0
+    assert not any("jump" in c for c in columns)
+    prop = manifest["no_jump_propagator"]
+    assert prop["expm_cells"] == [] and 1.0 <= prop["max_cond"] < COND_LIMIT
 
 
 def test_trajectories_seed_flag_changes_output(tmp_path):

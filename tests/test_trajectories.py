@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+import ryddecay
 
 from ryddecay.lattice import LatticeSpec, neighbor_table
 from ryddecay.master_equation import (
@@ -19,6 +28,7 @@ from ryddecay.trajectories import (
     TrajectoryEnsembleResult,
     effective_hamiltonian,
     evolve_trajectory,
+    no_jump_propagator,
     run_ensemble,
 )
 
@@ -265,3 +275,97 @@ def test_norm_decay_matches_excitation_rate():
     short = expm(-1j * h_eff * h0)
     drop = (1.0 - np.linalg.norm(short @ psi0) ** 2) / h0
     assert drop == pytest.approx(rate, rel=1e-4)
+
+
+def _system(lat, params, model):
+    table = neighbor_table(lat)
+    h = driven_hamiltonian(lat, table, params)
+    jumps = jump_operators(lat, table, params, model)
+    return effective_hamiltonian(h, jumps), jumps
+
+
+def _no_jump_density(h_eff, psi0, lat, times):
+    """Excitation density of the normalized expm(-i H_eff t) psi0."""
+    obs = excitation_count_vector(lat) / lat.site_count
+    out = []
+    for t in times:
+        p2 = np.abs(expm(-1j * h_eff.toarray() * t) @ psi0) ** 2
+        out.append(np.sum(obs * p2) / np.sum(p2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("delta, omega", [(-6.0, 2.5), (-30.0, 10.0)])
+def test_samples_before_first_jump_match_expm(delta, omega):
+    params = ModelParams(V=10.0, gamma=1.0, Omega=omega, Delta=delta)
+    h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
+    ts = np.linspace(0.0, 3.0, 301)
+    obs = excitation_count_vector(CHAIN4) / 4
+    res = evolve_trajectory(vacuum(4), h_eff, jumps, 3.0, seed=3,
+                            sample_times=ts, observable_diag=obs)
+    first = res.jumps[0].time if res.jumps else np.inf
+    early = ts < first
+    assert early.sum() >= 5
+    expect = _no_jump_density(h_eff, vacuum(4), CHAIN4, ts[early])
+    assert np.max(np.abs(res.values[early] - expect)) < 1e-12
+
+
+def test_undriven_jump_time_is_minus_log_u():
+    lat = LatticeSpec(1, (1,), "open")
+    h_eff, jumps = _system(lat, ModelParams(gamma=1.0), SINGLE)
+    for seed in range(20):
+        u = np.random.default_rng(seed).random()
+        res = evolve_trajectory(up_state(1), h_eff, jumps, t_final=40.0, seed=seed)
+        assert len(res.jumps) == 1
+        assert abs(res.jumps[0].time + np.log(u)) < 1e-9
+
+
+def test_exceptional_point_falls_back_to_expm():
+    # Delta = 0, Omega = gamma/4: the two eigenvectors of the single atom's
+    # H_eff coalesce, and the eigenbasis is too ill-conditioned to trust
+    lat = LatticeSpec(1, (1,), "open")
+    params = ModelParams(gamma=1.0, Omega=0.25, Delta=0.0)
+    h_eff, jumps = _system(lat, params, SINGLE)
+    prop = no_jump_propagator(h_eff)
+    assert prop.vecs is None
+    ts = np.linspace(0.0, 8.0, 81)
+    res = evolve_trajectory(vacuum(1), prop, jumps, 8.0, seed=2, sample_times=ts,
+                            observable_diag=np.array([0.0, 1.0]))
+    first = res.jumps[0].time if res.jumps else np.inf
+    early = ts < first
+    assert early.sum() >= 5
+    expect = _no_jump_density(h_eff, vacuum(1), lat, ts[early])
+    assert np.max(np.abs(res.values[early] - expect)) < 1e-10
+    ens = run_ensemble(lat, params, SINGLE, vacuum(1), n_traj=2, master_seed=1,
+                       t_final=1.0, sample_times=np.linspace(0.0, 1.0, 3))
+    assert ens.cond > 1e6
+
+
+def test_jump_counts_match_logs_for_any_thread_count():
+    params = ModelParams(V=10.0, gamma=1.0, Omega=2.5, Delta=-6.0)
+    kw = dict(n_traj=10, master_seed=5, t_final=2.0,
+              sample_times=np.linspace(0.0, 2.0, 5))
+    serial = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4), threads=1, **kw)
+    pooled = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4), threads=2, **kw)
+    h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
+    logged = Counter()
+    for child in np.random.SeedSequence(5).spawn(10):
+        res = evolve_trajectory(vacuum(4), h_eff, jumps, 2.0, np.random.default_rng(child),
+                                kw["sample_times"])
+        logged.update(ev.xi for ev in res.jumps)
+    assert sum(logged.values()) > 0
+    assert serial.jump_counts == dict(logged)
+    assert pooled.jump_counts == serial.jump_counts
+    assert serial.cond < 1e6
+
+
+def test_cli_import_leaves_out_dense_linalg_and_optimize():
+    src = str(Path(ryddecay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ryddecay.cli; "
+         "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

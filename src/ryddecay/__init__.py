@@ -34,7 +34,7 @@ from .meanfield import (
     FixedPoint,
     MeanFieldParams,
     MeanFieldState,
-    PhaseDiagramCell,
+    PhaseDiagram,
     find_fixed_points,
     integrate_mf,
     mf_oracle_check,
@@ -87,7 +87,7 @@ __all__ = [
     "MeanFieldParams",
     "MeanFieldState",
     "FixedPoint",
-    "PhaseDiagramCell",
+    "PhaseDiagram",
     "mf_rhs",
     "mf_oracle_check",
     "find_fixed_points",

@@ -408,6 +408,15 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     return [csv_path, manifest]
 
 
+def _branches(pd, mask):
+    """Lowest and highest root density n among the roots in mask, per cell;
+    NaN (an empty CSV field) where there is none, the highest also where
+    there is only one."""
+    n = np.where(mask, pd.states[..., 0], np.nan)
+    high = np.where(mask.sum(axis=-1) > 1, np.fmax.reduce(n, axis=-1), np.nan)
+    return np.fmin.reduce(n, axis=-1), high
+
+
 def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     if cfg["sign_convention"] not in SIGN_CONVENTIONS:
@@ -415,33 +424,23 @@ def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
     check_model(cfg["model"])
     params = MeanFieldParams(0.0, 0.0, cfg["gamma"], int(cfg["d"]), cfg["V"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
-    cells = scan_phase_diagram(deltas, omegas, params,
-                               cfg["sign_convention"], cfg["model"])
-
-    rows = []
-    for c in cells:
-        branches = sorted(f.state.n for f in c.fixed_points if f.stable and f.physical)
-        b1 = branches[0] if branches else None
-        b2 = branches[-1] if len(branches) > 1 else None
-        rows.append([c.Delta, c.Omega, c.stable_count, b1, b2])
+    pd = scan_phase_diagram(deltas, omegas, params, cfg["sign_convention"], cfg["model"])
+    counts = pd.stable_count
+    low, high = _branches(pd, pd.stable & pd.physical)
     columns = ["Delta", "Omega", "stable_count", "n_ss_branch1", "n_ss_branch2"]
     pd_path = out_dir / "meanfield_phase_diagram.csv"
     write_csv(pd_path, {"command": "meanfield", "d": cfg["d"], "V": cfg["V"],
                         "gamma": cfg["gamma"], "sign_convention": cfg["sign_convention"],
-                        "model": cfg["model"]}, columns, rows)
+                        "model": cfg["model"]}, columns,
+              _grid_rows(deltas, omegas, lambda i, j: [counts[i, j], low[i, j], high[i, j]]))
 
     cut_deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], int(cfg["cut_n_delta"]))
-    cut_rows = []
-    for c in scan_phase_diagram(cut_deltas, [cfg["cut_omega"]], params,
-                                cfg["sign_convention"], cfg["model"]):
-        stab = sorted(f.state.n for f in c.fixed_points if f.stable and f.physical)
-        unst = sorted(f.state.n for f in c.fixed_points if not f.stable and f.physical)
-        cut_rows.append([
-            c.Delta,
-            stab[0] if stab else None,
-            stab[-1] if len(stab) > 1 else None,
-            unst[0] if unst else None,
-        ])
+    cut = scan_phase_diagram(cut_deltas, [cfg["cut_omega"]], params,
+                             cfg["sign_convention"], cfg["model"])
+    stable_low, stable_high = _branches(cut, cut.stable & cut.physical)
+    unstable_low, _ = _branches(cut, ~cut.stable & cut.physical)
+    cut_rows = [[D, stable_low[i, 0], stable_high[i, 0], unstable_low[i, 0]]
+                for i, D in enumerate(cut_deltas)]
     cut_path = out_dir / "meanfield_cut.csv"
     write_csv(cut_path, {"command": "meanfield", "cut_omega": cfg["cut_omega"],
                          "d": cfg["d"], "V": cfg["V"]},

@@ -14,12 +14,13 @@ the default convention 'oracle_verified'. 'as_printed' keeps '-' for literal
 reproduction. The collective dissipator produces the (4 d n + 1) factor; the
 single-atom dissipator reduces it to 1 (select with model='single').
 
-Fixed points: find_fixed_points runs damped-free Newton from a 10x10x10 seed
-grid (the documented per-cell contract). scan_phase_diagram instead
-eliminates s_x, s_y linearly, reducing stationarity to a cubic in n, and
-polishes the roots with the same Newton rule; this is what makes a 201x201
-scan cheap. Both routes share classification and deduplication and are
-cross-checked in tests.
+Fixed points: scan_phase_diagram eliminates s_x, s_y linearly, which reduces
+stationarity to a cubic in n per (Delta, Omega) cell, and treats the whole
+grid in one array pass: batched companion-matrix roots, one vectorised
+Newton polish, deduplication and Jacobian classification as masks.
+find_fixed_points is its independent oracle: Newton from a 10x10x10 seed
+grid over the physical box, through the same polish, deduplication and
+classification, with no use of the cubic. The two are cross-checked in tests.
 
 The bistable lobe ends at a cusp, where that cubic has a triple root n0.
 refine_critical_point solves for it in closed form: the triple-root
@@ -29,7 +30,7 @@ roots in (0, 1] gives a cusp (Delta, Omega).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +57,8 @@ BOUNDS_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class MeanFieldParams:
+    """Delta and Omega may be per-cell arrays, as in the whole-grid scan."""
+
     Delta: float
     Omega: float
     gamma: float = 1.0
@@ -67,6 +70,12 @@ class MeanFieldParams:
             raise ValueError("gamma must be positive")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+
+
+def _box_violation(states) -> np.ndarray:
+    """How far (n, s_x, s_y) on the last axis sit outside [0, 1] x [-1, 1]^2."""
+    n, s_x, s_y = states[..., 0], states[..., 1], states[..., 2]
+    return np.maximum.reduce([np.zeros_like(n), -n, n - 1.0, np.abs(s_x) - 1.0, np.abs(s_y) - 1.0])
 
 
 @dataclass(frozen=True)
@@ -81,29 +90,34 @@ class MeanFieldState:
     def bounds_violation(self) -> float:
         """Soft physical-box diagnostic: how far outside n in [0,1],
         s_x, s_y in [-1,1] the state sits (0 when inside)."""
-        over = max(0.0, -self.n, self.n - 1.0)
-        over = max(over, abs(self.s_x) - 1.0, abs(self.s_y) - 1.0)
-        return max(0.0, over)
+        return float(_box_violation(self.as_array()))
 
 
 @dataclass(frozen=True)
 class FixedPoint:
     state: MeanFieldState
-    jacobian_eigen_real_parts: tuple[float, float, float]
     stable: bool
+    physical: bool
+
+
+@dataclass(frozen=True)
+class PhaseDiagram:
+    """Fixed points per cell, with leading axes (n_delta, n_omega) for a scan.
+
+    states (..., K, 3) holds each cell's distinct roots (n, s_x, s_y) first,
+    sorted by n, then s_x, s_y, and NaN in the unused slots. stable marks
+    the roots whose Jacobian eigenvalues all have real part below
+    STABLE_EIG_TOL; physical those inside the box (slack BOUNDS_SLACK).
+    """
+
+    states: np.ndarray
+    stable: np.ndarray
+    physical: np.ndarray
 
     @property
-    def physical(self) -> bool:
-        return self.state.bounds_violation() <= BOUNDS_SLACK
-
-
-@dataclass
-class PhaseDiagramCell:
-    Delta: float
-    Omega: float
-    fixed_points: list[FixedPoint]
-    stable_count: int
-    diagnostics: list[str] = field(default_factory=list)
+    def stable_count(self) -> np.ndarray:
+        """Stable fixed points inside the physical box, per cell."""
+        return np.sum(self.stable & self.physical, axis=-1)
 
 
 def _sigma(sign_convention: str) -> float:
@@ -167,45 +181,61 @@ def mf_jacobian(
     return np.stack([row0, row1, row2], axis=-2)
 
 
-def _classify(states: np.ndarray, params, sign_convention, model) -> list[FixedPoint]:
-    out = []
-    for s in np.atleast_2d(states):
-        jac = mf_jacobian(s, params, sign_convention, model)
-        reals = tuple(sorted(np.real(np.linalg.eigvals(jac))))
-        stable = all(r < STABLE_EIG_TOL for r in reals)
-        out.append(FixedPoint(MeanFieldState(*(float(x) for x in s)), reals, stable))
-    return out
+def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDiagram:
+    """Newton-polish, deduplicate and classify the candidates (..., K, 3) of
+    each cell; params.Delta and params.Omega broadcast to the cells' shape
+    plus a trailing 1. The back end of both fixed-point routes.
 
+    A cell stops once its largest residual among valid candidates is below
+    NEWTON_RESIDUAL / 10, and keeps the candidates below NEWTON_RESIDUAL.
+    Duplicates (within DEDUP_TOL) are dropped greedily in candidate order.
+    """
+    shape, k = candidates.shape[:-2], candidates.shape[-2]
+    valid = valid.reshape(-1, k)
+    x = np.where(valid[..., None], candidates.reshape(-1, k, 3), 0.0)
+    delta, omega = (np.broadcast_to(v, shape + (1,)).reshape(-1, 1)
+                    for v in (params.Delta, params.Omega))
+    cells = replace(params, Delta=delta, Omega=omega)
 
-def _dedup(states: np.ndarray) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for s in states:
-        if not any(np.max(np.abs(s - k)) < DEDUP_TOL for k in kept):
-            kept.append(s)
-    if not kept:
-        return np.zeros((0, 3))
-    return np.array(sorted(kept, key=lambda x: (x[0], x[1], x[2])))
+    def rows(idx):
+        return replace(cells, Delta=cells.Delta[idx], Omega=cells.Omega[idx])
 
-
-def _newton_polish(states, params, sign_convention, model, iters=60):
-    """Vectorized Newton on a batch of candidate states; returns converged
-    roots (residual < 1e-12)."""
-    x = np.atleast_2d(np.asarray(states, float)).copy()
+    active = np.arange(len(x))
     for _ in range(iters):
-        f = mf_rhs(x, params, sign_convention, model)
-        if np.max(np.abs(f)) < NEWTON_RESIDUAL * 0.1:
+        f = mf_rhs(x[active], rows(active), sign_convention, model)
+        worst = np.max(np.where(valid[active], np.max(np.abs(f), axis=-1), 0.0), axis=-1)
+        moving = ~(worst < NEWTON_RESIDUAL * 0.1)
+        if not moving.any():
             break
-        jac = mf_jacobian(x, params, sign_convention, model)
-        dets = np.linalg.det(jac)
-        ok = np.abs(dets) > 1e-14
-        step = np.zeros_like(x)
-        if np.any(ok):
+        active, f = active[moving], f[moving]
+        xa = x[active]
+        jac = mf_jacobian(xa, rows(active), sign_convention, model)
+        ok = valid[active] & (np.abs(np.linalg.det(jac)) > 1e-14)
+        step = np.zeros_like(xa)
+        if ok.any():
             step[ok] = np.linalg.solve(jac[ok], f[ok][..., None])[..., 0]
-        x = x - step
-        bad = ~np.isfinite(x).all(axis=-1)
-        x[bad] = 0.0  # runaway seeds restart at the origin
-    res = np.max(np.abs(mf_rhs(x, params, sign_convention, model)), axis=-1)
-    return x[res < NEWTON_RESIDUAL]
+        xa = xa - step
+        xa[~np.isfinite(xa).all(axis=-1)] = 0.0  # runaway candidates restart at the origin
+        x[active] = xa
+    residual = np.max(np.abs(mf_rhs(x, cells, sign_convention, model)), axis=-1)
+    kept = valid & (residual < NEWTON_RESIDUAL)
+
+    for j in range(1, k):
+        near = np.max(np.abs(x[:, :j] - x[:, j:j + 1]), axis=-1) < DEDUP_TOL
+        kept[:, j] &= ~np.any(kept[:, :j] & near, axis=-1)
+
+    stable = np.zeros_like(kept)
+    eig = np.linalg.eigvals(mf_jacobian(x, cells, sign_convention, model)[kept])
+    stable[kept] = np.all(eig.real < STABLE_EIG_TOL, axis=-1)
+    physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
+
+    order = np.lexsort((x[..., 2], x[..., 1], x[..., 0], ~kept), axis=-1)
+    x = np.where(kept[..., None], x, np.nan)
+    return PhaseDiagram(
+        np.take_along_axis(x, order[..., None], axis=1).reshape(shape + (k, 3)),
+        np.take_along_axis(stable, order, axis=1).reshape(shape + (k,)),
+        np.take_along_axis(physical, order, axis=1).reshape(shape + (k,)),
+    )
 
 
 def find_fixed_points(
@@ -214,59 +244,43 @@ def find_fixed_points(
     model: str = COLLECTIVE,
 ) -> list[FixedPoint]:
     """All fixed points found by Newton from a 10x10x10 seed grid over the
-    physical box, deduplicated and classified by Jacobian eigenvalues."""
+    physical box, sorted by n. Public as the independent oracle of
+    scan_phase_diagram: it never uses the stationarity cubic."""
     ns = np.linspace(0.0, 1.0, 10)
     ss = np.linspace(-1.0, 1.0, 10)
     grid = np.stack(np.meshgrid(ns, ss, ss, indexing="ij"), axis=-1).reshape(-1, 3)
-    roots = _newton_polish(grid, params, sign_convention, model)
-    roots = _dedup(roots)
-    return _classify(roots, params, sign_convention, model)
+    fp = _solve(grid, np.ones(len(grid), bool), params, sign_convention, model, iters=60)
+    found = ~np.isnan(fp.states[:, 0])
+    return [
+        FixedPoint(MeanFieldState(*(float(v) for v in s)), bool(st), bool(ph))
+        for s, st, ph in zip(fp.states[found], fp.stable[found], fp.physical[found])
+    ]
 
 
 def _cubic_coefficients(D, omega2, g, w, u, sigma):
     """(p3, p2, p1, p0) of the stationarity cubic in n; D and omega2 =
-    Omega^2 may be numpy Polynomials (the cusp search passes them)."""
+    Omega^2 may be arrays or numpy Polynomials (the cusp search passes them)."""
     p3 = w * w + 0.25 * g * g * u * u
     p2 = (1.0 + sigma) * D * w + 0.5 * g * g * u + 2.0 * omega2 * u
     p1 = sigma * D * D + 0.25 * g * g + 2.0 * omega2 - omega2 * u
     return p3, p2, p1, -omega2
 
 
-def _cubic_candidates(params: MeanFieldParams, sign_convention: str, model: str) -> np.ndarray:
-    """Stationary states via elimination: s_y = gamma n / Omega and
-    s_x = -(Delta + 2dVn) s_y / a turn stationarity into a cubic in n."""
-    sigma = _sigma(sign_convention)
-    u = _factor_u(params, model)
-    w = 2.0 * params.d * params.V
-    g, D, O = params.gamma, params.Delta, params.Omega
-    if O == 0.0:
-        return np.array([[0.0, 0.0, 0.0]])
-    roots = np.roots(_cubic_coefficients(D, O * O, g, w, u, sigma))
-    scale = 1.0 + np.max(np.abs(roots)) if len(roots) else 1.0
-    nvals = np.real(roots[np.abs(np.imag(roots)) < 1e-9 * scale])
-    out = []
-    for n in nvals:
-        a = 0.5 * g * (u * n + 1.0)
-        if abs(a) < 1e-12:
-            continue
-        s_y = g * n / O
-        s_x = -(D + w * n) * s_y / a
-        out.append([n, s_x, s_y])
-    return np.asarray(out) if out else np.zeros((0, 3))
-
-
-def fixed_points_cubic(
-    params: MeanFieldParams,
-    sign_convention: str = ORACLE_VERIFIED,
-    model: str = COLLECTIVE,
-) -> list[FixedPoint]:
-    """Fixed points via the cubic resolvent, Newton-polished to the same
-    residual as find_fixed_points."""
-    cand = _cubic_candidates(params, sign_convention, model)
-    if len(cand) == 0:
-        return []
-    roots = _dedup(_newton_polish(cand, params, sign_convention, model, iters=30))
-    return _classify(roots, params, sign_convention, model)
+def _real_roots(p3, p2, p1, p0) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of p3 n^3 + p2 n^2 + p1 n + p0 per cell (scalar p3), found
+    as np.roots finds them: eigenvalues of the companion matrix, dropping
+    those with |imag| >= 1e-9 (1 + max |root|). p3 = 0 (V = 0 with
+    single-atom decay) makes p2 = 0 too, leaving the root -p0 / p1 where
+    p1 != 0. Returns the roots (..., 3 or 1) and the mask of the real ones."""
+    if p3 == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (-p0 / p1)[..., None], (p1 != 0.0)[..., None]
+    companion = np.zeros(p0.shape + (3, 3))
+    companion[..., 0, :] = np.stack([-p2, -p1, -p0], axis=-1) / p3
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    r = np.linalg.eigvals(companion)
+    scale = 1.0 + np.max(np.abs(r), axis=-1, keepdims=True)
+    return r.real, np.abs(r.imag) < 1e-9 * scale
 
 
 def scan_phase_diagram(
@@ -275,41 +289,37 @@ def scan_phase_diagram(
     params: MeanFieldParams,
     sign_convention: str = ORACLE_VERIFIED,
     model: str = COLLECTIVE,
-) -> list[PhaseDiagramCell]:
-    """Per-cell fixed-point analysis over the (Delta, Omega) grid.
+) -> PhaseDiagram:
+    """Fixed points of every cell of the (Delta, Omega) grid, in one array pass.
 
-    stable_count counts stable fixed points inside the physical box
-    (soft slack 1e-6); out-of-box roots stay in the list and are flagged in
-    the cell diagnostics.
+    Stationarity gives s_y = gamma n / Omega and s_x = -(Delta + 2dVn) s_y / a,
+    with a = (gamma/2)(u n + 1), and leaves a cubic in n. Its real roots are
+    the candidates of a driven cell; an undriven cell has the vacuum as its
+    one candidate. All are polished by Newton and classified (see _solve).
+    Returns a PhaseDiagram of shape (len(delta_grid), len(omega_grid)).
     """
     delta_grid = np.asarray(delta_grid, float)
     omega_grid = np.asarray(omega_grid, float)
     if delta_grid.size == 0 or omega_grid.size == 0:
         raise ValueError("grids must be non-empty")
-    cells = []
-    for D in delta_grid:
-        for O in omega_grid:
-            p = MeanFieldParams(float(D), float(O), params.gamma, params.d, params.V)
-            diagnostics: list[str] = []
-            try:
-                fps = fixed_points_cubic(p, sign_convention, model)
-            except Exception as exc:  # record and continue, per contract
-                cells.append(PhaseDiagramCell(float(D), float(O), [], 0, [f"error: {exc}"]))
-                continue
-            stable_count = sum(1 for f in fps if f.stable and f.physical)
-            for f in fps:
-                if not f.physical:
-                    diagnostics.append(
-                        f"fixed point outside physical box: n={f.state.n:.6f}"
-                    )
-            if stable_count not in (1, 2):
-                diagnostics.append(f"stable_count={stable_count} outside expected range")
-            cells.append(PhaseDiagramCell(float(D), float(O), fps, stable_count, diagnostics))
-    return cells
-
-
-def stable_count_map(cells: list[PhaseDiagramCell], n_delta: int, n_omega: int) -> np.ndarray:
-    return np.array([c.stable_count for c in cells]).reshape(n_delta, n_omega)
+    if not np.isfinite(np.concatenate([delta_grid, omega_grid, [params.gamma, params.V]])).all():
+        raise ValueError("grid values, gamma and V must be finite")
+    sigma = _sigma(sign_convention)
+    u = _factor_u(params, model)
+    w = 2.0 * params.d * params.V
+    g = params.gamma
+    p3, *rest = _cubic_coefficients(delta_grid[:, None], omega_grid[None, :] ** 2, g, w, u, sigma)
+    n, valid = _real_roots(p3, *np.broadcast_arrays(*rest))
+    D, O = delta_grid[:, None, None], omega_grid[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = 0.5 * g * (u * n + 1.0)
+        s_y = g * n / O
+        s_x = -(D + w * n) * s_y / a
+    driven = O != 0.0
+    candidates = np.where(driven[..., None], np.stack([n, s_x, s_y], axis=-1), 0.0)
+    valid = np.where(driven, valid & (np.abs(a) >= 1e-12), np.arange(n.shape[-1]) == 0)
+    return _solve(candidates, valid, replace(params, Delta=D, Omega=O),
+                  sign_convention, model, iters=30)
 
 
 def refine_critical_point(
@@ -359,48 +369,38 @@ def integrate_mf(
     state0,
     params: MeanFieldParams,
     t_final: float,
-    dt: float = 1e-3,
     sign_convention: str = ORACLE_VERIFIED,
     model: str = COLLECTIVE,
     sample_times=None,
 ):
-    """RK4 integration of the mean-field flow.
+    """Mean-field flow from state0 by scipy's DOP853 (rtol 1e-11, atol 1e-13).
 
-    Returns (times, states) with states of shape (len(times), 3). Aborts
-    with a diagnostic if the state norm exceeds 10 (divergence guard).
+    Returns (times, states) with states of shape (len(times), 3); the times
+    default to 201 points on [0, t_final]. Aborts with a diagnostic once
+    max |x| reaches 10 (divergence guard).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = state0.as_array() if isinstance(state0, MeanFieldState) else np.asarray(state0, float)
-    x = x.astype(float).copy()
+    from scipy.integrate import solve_ivp  # not loaded by `import ryddecay.cli`
+
+    x0 = state0.as_array() if isinstance(state0, MeanFieldState) else np.asarray(state0, float)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 201)
     sample_times = np.asarray(sample_times, float)
-    out = np.zeros((len(sample_times), 3))
-    t = 0.0
-    ptr = 0
 
-    def rhs(v):
-        return mf_rhs(v, params, sign_convention, model)
+    def diverged(t, x):
+        return np.max(np.abs(x)) - 10.0
 
-    if ptr < len(sample_times) and sample_times[ptr] <= 1e-15:
-        out[ptr] = x
-        ptr += 1
-    for target in sample_times[ptr:]:
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            if np.max(np.abs(x)) > 10.0:
-                raise RuntimeError(f"mean-field flow diverged at t={t:.3f}: {x}")
-        t = target
-        out[ptr] = x
-        ptr += 1
-    return sample_times, out
+    diverged.terminal = True
+    sol = solve_ivp(
+        lambda t, x: mf_rhs(x, params, sign_convention, model), (0.0, t_final), x0,
+        method="DOP853", t_eval=sample_times, events=diverged, rtol=1e-11, atol=1e-13,
+    )
+    if sol.status == 1:
+        raise RuntimeError(
+            f"mean-field flow diverged at t={sol.t_events[0][0]:.3f}: {sol.y_events[0][0]}"
+        )
+    if not sol.success:
+        raise RuntimeError(f"mean-field flow failed: {sol.message}")
+    return sample_times, sol.y.T
 
 
 def mf_oracle_check(

@@ -29,11 +29,9 @@ from ryddecay.meanfield import (
     ORACLE_VERIFIED,
     MeanFieldParams,
     MeanFieldState,
-    fixed_points_cubic,
     mf_oracle_check,
     refine_critical_point,
     scan_phase_diagram,
-    stable_count_map,
 )
 from ryddecay.operators import (
     COLLECTIVE,
@@ -246,15 +244,17 @@ def test_criterion_08_mean_field_product_state_oracle():
     assert passed == [ORACLE_VERIFIED]
 
 
+C9_PARAMS = MeanFieldParams(Delta=0.0, Omega=0.0, gamma=1.0, d=1, V=10.0)
+
+
 def _stable_physical_count(delta: float, omega: float) -> int:
-    p = MeanFieldParams(Delta=delta, Omega=omega, gamma=1.0, d=1, V=10.0)
-    return sum(1 for fp in fixed_points_cubic(p) if fp.stable and fp.physical)
+    return int(scan_phase_diagram([delta], [omega], C9_PARAMS).stable_count[0, 0])
 
 
 def _bistable_window(omega: float, lo: float = -30.0, hi: float = 10.0,
                      n: int = 801, tol: float = 1e-4):
     ds = np.linspace(lo, hi, n)
-    flags = np.array([_stable_physical_count(d, omega) >= 2 for d in ds])
+    flags = scan_phase_diagram(ds, [omega], C9_PARAMS).stable_count[:, 0] >= 2
     hits = np.flatnonzero(flags)
     if hits.size == 0:
         return None
@@ -278,9 +278,8 @@ def test_criterion_09_mean_field_bistability_region():
     omegas = np.linspace(0.0, 10.0, 201)
     params = MeanFieldParams(0.0, 0.0, 1.0, 1, 10.0)
     t0 = time.monotonic()
-    cells = scan_phase_diagram(deltas, omegas, params)
+    counts = scan_phase_diagram(deltas, omegas, params).stable_count
     wall = time.monotonic() - t0
-    counts = stable_count_map(cells, len(deltas), len(omegas))
 
     bi_d, bi_o = np.nonzero(counts == 2)
     assert bi_d.size > 0
@@ -320,10 +319,8 @@ def test_criterion_09_mean_field_bistability_region():
     cut = _bistable_window(2.5)
     assert cut is not None and cut[0] < cut[1] < 0.0
     mid = 0.5 * (cut[0] + cut[1])
-    p_mid = MeanFieldParams(Delta=mid, Omega=2.5, gamma=1.0, d=1, V=10.0)
-    branches = sorted(
-        fp.state.n for fp in fixed_points_cubic(p_mid) if fp.stable and fp.physical
-    )
+    cell = scan_phase_diagram([mid], [2.5], C9_PARAMS)
+    branches = sorted(cell.states[0, 0, cell.stable[0, 0] & cell.physical[0, 0], 0])
     assert len(branches) == 2 and branches[0] < branches[1]
 
     report(9, "mean-field bistability region",

@@ -386,6 +386,17 @@ def test_meanfield_no_cusp_below_omega_max(tmp_path):
     assert crit["error"] is not None
 
 
+def test_meanfield_linear_stationarity(tmp_path):
+    # V = 0 with single-atom decay leaves a linear stationarity condition
+    # (the cubic's two leading coefficients vanish on the whole grid)
+    run(tmp_path, "meanfield", {"model": "single", "V": 0.0, "n_delta": 9,
+                                "n_omega": 5, "cut_n_delta": 9})
+    _, columns, rows = read_csv(tmp_path / "meanfield_phase_diagram.csv")
+    assert len(rows) == 45
+    assert col(columns, rows, "stable_count") == [1.0] * 45
+    assert col(columns, rows, "n_ss_branch2") == [None] * 45
+
+
 def test_meanfield_round_trip_bytes(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -8,14 +8,12 @@ from ryddecay.meanfield import (
     MeanFieldParams,
     MeanFieldState,
     find_fixed_points,
-    fixed_points_cubic,
     integrate_mf,
     mf_jacobian,
     mf_oracle_check,
     mf_rhs,
     refine_critical_point,
     scan_phase_diagram,
-    stable_count_map,
 )
 from ryddecay.operators import COLLECTIVE, SINGLE, ModelParams
 
@@ -108,27 +106,56 @@ def test_fixed_points_residuals_vanish():
 
 
 def test_cubic_agrees_with_grid_search():
+    # the seed-grid Newton oracle against a one-cell scan, on random cells and
+    # on the edge cases: a linear stationarity condition (V = 0, single model),
+    # an undriven cell, the as_printed convention, and a linear condition
+    # with no root (as_printed at Delta^2 = gamma^2 / 4 + 2 Omega^2)
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        p = MeanFieldParams(
+    cases = [
+        (MeanFieldParams(
             Delta=rng.uniform(-20, 5),
             Omega=rng.uniform(0.3, 6),
             gamma=1.0,
             d=int(rng.integers(1, 4)),
             V=rng.uniform(0, 15),
-        )
-        grid = sorted(fp.state.n for fp in find_fixed_points(p) if fp.physical)
-        cubic = sorted(fp.state.n for fp in fixed_points_cubic(p) if fp.physical)
+        ), ORACLE_VERIFIED, COLLECTIVE)
+        for _ in range(10)
+    ]
+    cases += [
+        (MeanFieldParams(Delta=-10.0, Omega=2.5, gamma=1.0, d=1, V=0.0), ORACLE_VERIFIED, SINGLE),
+        (MeanFieldParams(Delta=-10.0, Omega=0.0, gamma=1.0, d=1, V=10.0), ORACLE_VERIFIED, COLLECTIVE),
+        (MeanFieldParams(Delta=-3.0, Omega=1.5, gamma=1.0, d=2, V=5.0), AS_PRINTED, COLLECTIVE),
+        (MeanFieldParams(Delta=-1.5, Omega=1.0, gamma=1.0, d=1, V=0.0), AS_PRINTED, SINGLE),
+    ]
+    for p, convention, model in cases:
+        oracle = [fp for fp in find_fixed_points(p, convention, model) if fp.physical]
+        cell = scan_phase_diagram([p.Delta], [p.Omega], p, convention, model)
+        physical = cell.physical[0, 0]
+        grid = sorted(fp.state.n for fp in oracle)
+        cubic = sorted(cell.states[0, 0, physical, 0])
         assert len(grid) == len(cubic)
         assert grid == pytest.approx(cubic, abs=1e-8)
+        assert [fp.stable for fp in oracle] == list(cell.stable[0, 0, physical])
 
 
 def test_cubic_detuning_free_drive_free():
     p = MeanFieldParams(Delta=0.0, Omega=0.0, gamma=1.0, d=1, V=10.0)
-    fps = fixed_points_cubic(p)
+    cell = scan_phase_diagram([0.0], [0.0], p)
+    fps = cell.states[0, 0][~np.isnan(cell.states[0, 0, :, 0])]
     assert len(fps) == 1
-    assert np.allclose(fps[0].state.as_array(), [0.0, 0.0, 0.0])
-    assert fps[0].stable
+    assert np.allclose(fps[0], [0.0, 0.0, 0.0])
+    assert cell.stable[0, 0, 0]
+
+
+@pytest.mark.parametrize("deltas, omegas, params", [
+    ([np.nan, -10.0], [2.5], BISTABLE),
+    ([-10.0], [2.5, np.inf], BISTABLE),
+    ([-10.0], [2.5], MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=np.nan)),
+    ([-10.0], [2.5], MeanFieldParams(0.0, 0.0, gamma=np.inf, d=1, V=10.0)),
+])
+def test_scan_rejects_non_finite_input(deltas, omegas, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        scan_phase_diagram(deltas, omegas, params)
 
 
 def test_vacuum_stability_depends_on_convention():
@@ -220,28 +247,21 @@ def test_integrate_divergence_guard():
 def test_scan_counts_and_shape():
     deltas = np.linspace(-14.0, -6.0, 5)
     omegas = np.linspace(1.5, 3.5, 3)
-    cells = scan_phase_diagram(deltas, omegas, BISTABLE)
-    assert len(cells) == 15
-    counts = stable_count_map(cells, 5, 3)
+    counts = scan_phase_diagram(deltas, omegas, BISTABLE).stable_count
+    assert counts.size == 15
     assert counts.shape == (5, 3)
     assert np.all(counts >= 1)
     # the reference point sits inside the bistable lobe
-    idx = next(
-        i for i, c in enumerate(cells)
-        if c.Delta == pytest.approx(-10.0) and c.Omega == pytest.approx(2.5)
-    )
-    assert cells[idx].stable_count == 2
+    i = next(i for i, d in enumerate(deltas) if d == pytest.approx(-10.0))
+    j = next(j for j, o in enumerate(omegas) if o == pytest.approx(2.5))
+    assert counts[i, j] == 2
 
 
 def test_scan_single_model_window_is_different():
     deltas = np.linspace(-20.0, -4.0, 17)
     omegas = np.array([2.5])
-    single = stable_count_map(
-        scan_phase_diagram(deltas, omegas, BISTABLE, model=SINGLE), 17, 1
-    )
-    coll = stable_count_map(
-        scan_phase_diagram(deltas, omegas, BISTABLE, model=COLLECTIVE), 17, 1
-    )
+    single = scan_phase_diagram(deltas, omegas, BISTABLE, model=SINGLE).stable_count
+    coll = scan_phase_diagram(deltas, omegas, BISTABLE, model=COLLECTIVE).stable_count
     # both windows cover the reference detuning, but not the same cells
     assert single[np.where(deltas == -10.0)[0][0], 0] == 2
     assert coll[np.where(deltas == -10.0)[0][0], 0] == 2

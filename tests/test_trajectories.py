@@ -365,7 +365,8 @@ def test_cli_import_leaves_out_dense_linalg_and_optimize():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, ryddecay.cli; "
-         "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])"],
+         "print([m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.integrate') "
+         "if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -21,13 +21,11 @@ from .kernels import KernelInputs, gamma_kernel, gamma_xi_rate, v_kernel
 from .lattice import LatticeSpec, NeighborTable, build_lattice, neighbor_table
 from .master_equation import (
     IntegrationResult,
-    ObservableSeries,
     SteadyStateScan,
     excitation_density,
     integrate_exact,
     lindblad_rhs,
     scan_steady_state,
-    steady_state_window_average,
     window_times,
 )
 from .meanfield import (
@@ -68,13 +66,11 @@ __all__ = [
     "driven_hamiltonian",
     "jump_operators",
     "IntegrationResult",
-    "ObservableSeries",
     "SteadyStateScan",
     "integrate_exact",
     "lindblad_rhs",
     "excitation_density",
     "scan_steady_state",
-    "steady_state_window_average",
     "window_times",
     "CoherenceState",
     "initial_coherence",

@@ -39,13 +39,15 @@ from .meanfield import (
     refine_critical_point,
     scan_phase_diagram,
 )
-from .operators import COLLECTIVE, MODELS, SINGLE, ModelParams, check_model
+from .operators import COLLECTIVE, SINGLE, ModelParams, check_model
 from .trajectories import COND_LIMIT, run_ensemble
 
 # no workflow steps in time; older configs and manifests still carry dt
 DEFAULT_DT = 1e-3
 # at N = 10 the exact scan's window takes 1.7 GB and eig of H_eff 4.7 s
 MAX_SITES = 10
+# largest half-coordination whose initial coherence profile fits in float64
+MAX_COHERENCE_D = 511
 
 DEFAULTS: dict[str, dict] = {
     "coherence": {
@@ -239,10 +241,16 @@ def _models(cfg) -> tuple[str, ...]:
 def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     d = int(cfg["d"])
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= MAX_COHERENCE_D:
+        raise ValueError(f"d must be between 1 and {MAX_COHERENCE_D} (at d = "
+                         f"{MAX_COHERENCE_D + 1} the initial profile's 2^(2d+1) "
+                         f"overflows float64), got d = {d}")
+    if not cfg["models"]:
+        raise ValueError("models must name at least one model")
     for m in cfg["models"]:
         check_model(m)
+    if len(set(cfg["models"])) != len(cfg["models"]):
+        raise ValueError(f"models must be distinct, got {cfg['models']!r}")
     t = np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_times"]))
 
     per_model: dict[str, np.ndarray] = {}
@@ -353,36 +361,39 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     psi0 = np.zeros(1 << n_sites, dtype=complex)
     psi0[0] = 1.0
 
-    # independent, reproducible seed per (cell, model) cell derived from the
+    # independent, reproducible seed per (model, cell) derived from the
     # master seed; a shared seed would correlate neighboring cells
-    n_cells = len(deltas) * len(omegas) * len(models)
+    n_delta, n_omega = len(deltas), len(omegas)
     cell_seeds = np.random.SeedSequence(int(cfg["seed"])).generate_state(
-        n_cells, dtype=np.uint64
+        len(models) * n_delta * n_omega, dtype=np.uint64
     )
 
     stats: dict[str, dict[tuple[int, int], tuple[float, float]]] = {m: {} for m in models}
     # jumps per xi ("all" for the single model), per model and per CSV row
     jump_counts: dict[str, list[dict[str, int]]] = {m: [] for m in models}
-    propagator = {"cond_limit": COND_LIMIT, "max_cond": 0.0, "expm_cells": []}
-    idx = 0
-    for m in models:
-        for i, D in enumerate(deltas):
-            for j, O in enumerate(omegas):
-                mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=gamma,
-                                 Omega=float(O), Delta=float(D))
+    expm_cells: dict[str, list[dict]] = {m: [] for m in models}
+    max_cond = 0.0
+    for i, D in enumerate(deltas):
+        for j, O in enumerate(omegas):
+            mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=gamma,
+                             Omega=float(O), Delta=float(D))
+            prop = None  # H_eff is model-independent: one propagator per cell
+            for k, m in enumerate(models):
                 ens = run_ensemble(
-                    lat, mp, m, psi0, int(cfg["n_traj"]), int(cell_seeds[idx]),
-                    t_final=cfg["t_final"],
-                    sample_times=sample_times, threads=cfg["threads"],
+                    lat, mp, m, psi0, int(cfg["n_traj"]),
+                    int(cell_seeds[(k * n_delta + i) * n_omega + j]),
+                    t_final=cfg["t_final"], sample_times=sample_times,
+                    threads=cfg["threads"], propagator=prop,
                 )
+                prop = ens.propagator
                 stats[m][(i, j)] = ens.window_statistics(tw)
                 jump_counts[m].append({"all" if xi is None else str(xi): n
                                        for xi, n in ens.jump_counts.items()})
-                propagator["max_cond"] = max(propagator["max_cond"], ens.cond)
+                max_cond = max(max_cond, ens.cond)
                 if not ens.cond <= COND_LIMIT:
-                    propagator["expm_cells"].append(
-                        {"model": m, "Delta": float(D), "Omega": float(O)})
-                idx += 1
+                    expm_cells[m].append({"model": m, "Delta": float(D), "Omega": float(O)})
+    propagator = {"cond_limit": COND_LIMIT, "max_cond": max_cond,
+                  "expm_cells": [cell for m in models for cell in expm_cells[m]]}
 
     def cell(i, j):
         n_s, e_s = stats.get(SINGLE, {}).get((i, j), (None, None))

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .lattice import LatticeSpec, neighbor_table
-from .master_equation import integrate_exact, product_state_vector, pure_state_density
+from .master_equation import integrate_exact, product_density
 from .operators import (
     COLLECTIVE,
     SINGLE,
@@ -84,15 +84,6 @@ def _mode_rates(state: CoherenceState) -> np.ndarray:
     return (1j * state.omega_a + state.gamma / 2.0) + xi * (state.gamma + 1j * state.V)
 
 
-def evolve_collective(state: CoherenceState, t: float) -> CoherenceState:
-    """Closed form: each mode decays as exp(-(i omega_a + gamma/2 + xi gamma
-    + i xi V) t) independently."""
-    if state.model != COLLECTIVE:
-        raise ValueError("state.model must be 'collective'")
-    values = state.xi_values * np.exp(-_mode_rates(state) * t)
-    return replace(state, xi_values=values)
-
-
 def _single_coefficients(state: CoherenceState) -> tuple[np.ndarray, np.ndarray]:
     """Expansion X_xi(t) = sum_j c[xi, j] exp(-a_j t) of the cascade.
 
@@ -115,19 +106,6 @@ def _single_coefficients(state: CoherenceState) -> tuple[np.ndarray, np.ndarray]
     return c, a
 
 
-def evolve_single(state: CoherenceState, t: float) -> CoherenceState:
-    """Exact solution of the upper-bidiagonal cascade at time t."""
-    if state.model != SINGLE:
-        raise ValueError("state.model must be 'single'")
-    c, a = _single_coefficients(state)
-    values = c @ np.exp(-a * t)
-    return replace(state, xi_values=values)
-
-
-def evolve(state: CoherenceState, t: float) -> CoherenceState:
-    return evolve_single(state, t) if state.model == SINGLE else evolve_collective(state, t)
-
-
 def mode_series(state: CoherenceState, times: np.ndarray) -> np.ndarray:
     """Mode amplitudes on a time grid, shape (2d+1, len(times))."""
     times = np.asarray(times, dtype=float)
@@ -136,6 +114,11 @@ def mode_series(state: CoherenceState, times: np.ndarray) -> np.ndarray:
         return state.xi_values[:, None] * np.exp(-np.outer(a, times))
     c, a = _single_coefficients(state)
     return c @ np.exp(-np.outer(a, times))
+
+
+def evolve(state: CoherenceState, t: float) -> CoherenceState:
+    """The state at time t, from mode_series."""
+    return replace(state, xi_values=mode_series(state, [t])[:, 0])
 
 
 def short_time_coefficients(model: str, d: int, gamma: float, V: float):
@@ -174,8 +157,7 @@ def exact_mode_series(
     two_d = len(table.neighbors[0])
     n = lattice.site_count
 
-    psi0 = product_state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0), n)
-    rho0 = pure_state_density(psi0)
+    rho0 = product_density(np.full((2, 2), 0.5), n)
     h = atomic_hamiltonian(lattice, table, params)
     jumps = jump_operators(lattice, table, params, model)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -66,17 +66,6 @@ def site_index(lattice: LatticeSpec, coords: tuple[int, ...]) -> int:
     return idx
 
 
-def site_coords(lattice: LatticeSpec, index: int) -> tuple[int, ...]:
-    """Inverse of site_index."""
-    if not 0 <= index < lattice.site_count:
-        raise ValueError(f"site index {index} out of range")
-    coords = []
-    for e in reversed(lattice.extents):
-        coords.append(index % e)
-        index //= e
-    return tuple(reversed(coords))
-
-
 def all_coords(lattice: LatticeSpec):
     """Iterate coordinate tuples in site-index order."""
     return itertools.product(*(range(e) for e in lattice.extents))

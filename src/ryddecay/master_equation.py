@@ -24,10 +24,10 @@ from .lattice import LatticeSpec, neighbor_table
 from .operators import (
     COLLECTIVE,
     SINGLE,
-    JumpOperator,
     ModelParams,
     check_model,
     driven_hamiltonian,
+    effective_hamiltonian,
     excitation_count_vector,
     jump_operators,
 )
@@ -41,23 +41,6 @@ RENORM_THRESHOLD = 1e-12
 
 
 @dataclass
-class ObservableSeries:
-    """A real observable sampled on a strictly increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have equal length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
-@dataclass
 class IntegrationResult:
     """Snapshots of rho at the requested times plus drift diagnostics."""
 
@@ -66,13 +49,6 @@ class IntegrationResult:
     renormalizations: int = 0
     max_trace_drift: float = 0.0
     max_herm_drift: float = 0.0
-
-
-def _jump_matrices(jumps) -> list:
-    mats = []
-    for j in jumps:
-        mats.append(j.matrix if isinstance(j, JumpOperator) else j)
-    return mats
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -89,26 +65,10 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError(f"negative diagonal entry {mindiag:.2e}")
 
 
-def pure_state_density(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def vacuum_density(dim: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
-
-
-def product_state_vector(single_site: np.ndarray, n_sites: int) -> np.ndarray:
-    """N-fold tensor power of a normalized single-site state."""
-    v = np.asarray(single_site, dtype=complex)
-    v = v / np.linalg.norm(v)
-    psi = v
-    for _ in range(n_sites - 1):
-        psi = np.kron(psi, v)
-    return psi
 
 
 def product_density(single_site_rho: np.ndarray, n_sites: int) -> np.ndarray:
@@ -126,7 +86,8 @@ def lindblad_rhs(rho: np.ndarray, H, jumps) -> np.ndarray:
     if H.shape != rho.shape:
         raise ValueError(f"dimension mismatch: H {H.shape} vs rho {rho.shape}")
     out = -1j * (H @ rho - rho @ H)
-    for L in _jump_matrices(jumps):
+    for j in jumps:
+        L = j.matrix
         if L.shape != rho.shape:
             raise ValueError("dimension mismatch in jump operator")
         Ld = L.conj().T
@@ -138,16 +99,15 @@ def lindblad_rhs(rho: np.ndarray, H, jumps) -> np.ndarray:
 def liouvillian(H, jumps) -> sp.csr_matrix:
     """Sparse Lindblad generator acting on row-major vec(rho).
 
-    With vec(A rho B) = (A kron B^T) vec(rho) and
-    H_eff = H - (i/2) sum_j L_j^dag L_j, the generator is
+    With vec(A rho B) = (A kron B^T) vec(rho) and H_eff from
+    effective_hamiltonian, the generator is
     -i H_eff kron 1 + i 1 kron conj(H_eff) + sum_j L_j kron conj(L_j).
     """
-    H = sp.csr_matrix(H, dtype=complex)
-    mats = [sp.csr_matrix(L, dtype=complex) for L in _jump_matrices(jumps)]
-    heff = H - 0.5j * sum((L.conj().T @ L for L in mats), sp.csr_matrix(H.shape))
-    eye = sp.identity(H.shape[0], dtype=complex, format="csr")
+    heff = effective_hamiltonian(H, jumps)
+    eye = sp.identity(heff.shape[0], dtype=complex, format="csr")
     gen = -1j * sp.kron(heff, eye) + 1j * sp.kron(eye, heff.conj())
-    for L in mats:
+    for j in jumps:
+        L = sp.csr_matrix(j.matrix, dtype=complex)
         gen = gen + sp.kron(L, L.conj())
     return gen.tocsr()
 
@@ -238,22 +198,6 @@ def excitation_density(rho: np.ndarray, lattice: LatticeSpec) -> float:
 def window_times(gamma: float = 1.0) -> np.ndarray:
     """The 100 linearly spaced sampling times in [4.75, 5.00]/gamma."""
     return np.linspace(WINDOW[0] / gamma, WINDOW[1] / gamma, WINDOW_POINTS)
-
-
-def steady_state_window_average(series: ObservableSeries, gamma: float = 1.0) -> float:
-    """Mean of the observable over the 100-point late-time window.
-
-    Values at the window times are taken from the series by linear
-    interpolation; grids that contain the window points exactly reproduce
-    direct sampling.
-    """
-    tw = window_times(gamma)
-    if series.times[0] > tw[0] + 1e-12 or series.times[-1] < tw[-1] - 1e-12:
-        raise ValueError(
-            f"series [{series.times[0]}, {series.times[-1]}] does not cover "
-            f"the window [{tw[0]}, {tw[-1]}]"
-        )
-    return float(np.mean(np.interp(tw, series.times, series.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,6 @@ class MeanFieldState:
     def as_array(self) -> np.ndarray:
         return np.array([self.n, self.s_x, self.s_y])
 
-    def bounds_violation(self) -> float:
-        """Soft physical-box diagnostic: how far outside n in [0,1],
-        s_x, s_y in [-1,1] the state sits (0 when inside)."""
-        return float(_box_violation(self.as_array()))
-
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -308,7 +303,12 @@ def scan_phase_diagram(
     u = _factor_u(params, model)
     w = 2.0 * params.d * params.V
     g = params.gamma
-    p3, *rest = _cubic_coefficients(delta_grid[:, None], omega_grid[None, :] ** 2, g, w, u, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p3, *rest = _cubic_coefficients(delta_grid[:, None], omega_grid[None, :] ** 2,
+                                        g, w, u, sigma)
+    if not all(np.isfinite(c).all() for c in (p3, *rest)):
+        raise ValueError("Delta, Omega or V too large: the stationarity cubic's "
+                         "coefficients overflow float64")
     n, valid = _real_roots(p3, *np.broadcast_arrays(*rest))
     D, O = delta_grid[:, None, None], omega_grid[None, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):

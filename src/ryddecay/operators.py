@@ -10,7 +10,6 @@ from explicit (row, col) coordinate lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,12 +35,6 @@ class ModelParams:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-    @property
-    def rwa_advisory(self) -> bool:
-        """True when V <= gamma, outside the rotating-wave validity regime
-        (V must dominate gamma for the neighborhood-resolved model)."""
-        return self.V <= self.gamma
 
 
 def check_model(model: str) -> str:
@@ -95,14 +88,12 @@ def site_operator(lattice: LatticeSpec, k: int, which: str) -> sp.csr_matrix:
         return sp.csr_matrix((np.ones(len(up)), (up, up)), shape=(dim, dim))
     if which == "sigma_minus":
         return sp.csr_matrix((np.ones(len(up)), (down, up)), shape=(dim, dim))
-    if which == "sigma_plus":
-        return sp.csr_matrix((np.ones(len(up)), (up, down)), shape=(dim, dim))
     if which == "sigma_x":
         rows = np.concatenate([down, up])
         cols = np.concatenate([up, down])
         return sp.csr_matrix((np.ones(2 * len(up)), (rows, cols)), shape=(dim, dim))
     if which == "sigma_y":
-        # sigma_y = -i sigma_plus + i sigma_minus
+        # sigma_y = -i sigma^+ + i sigma^-
         rows = np.concatenate([down, up])
         cols = np.concatenate([up, down])
         vals = np.concatenate([1j * np.ones(len(up)), -1j * np.ones(len(up))])
@@ -165,12 +156,6 @@ class JumpOperator:
     xi: int | None
     matrix: sp.csr_matrix
 
-    @property
-    def label(self) -> str:
-        if self.xi is None:
-            return f"L[k={self.site}]"
-        return f"L[k={self.site},xi={self.xi}]"
-
 
 def jump_operators(
     lattice: LatticeSpec, table: NeighborTable, params: ModelParams, model: str
@@ -195,30 +180,17 @@ def jump_operators(
     return ops
 
 
-def dissipator_anticommutator_diag(lattice: LatticeSpec, params: ModelParams) -> np.ndarray:
-    """Diagonal of sum_j L_j^dag L_j = gamma * sum_k n_k, identical for both
-    dissipation models by completeness of the neighborhood projectors."""
-    return params.gamma * excitation_count_vector(lattice)
-
-
-def is_hermitian(op, tol: float = 1e-12) -> bool:
-    """Check hermiticity of a sparse or dense operator."""
-    if sp.issparse(op):
-        diff = (op - op.conj().T).tocoo()
-        return len(diff.data) == 0 or np.max(np.abs(diff.data)) <= tol
-    arr = np.asarray(op)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol)
-
-
-@lru_cache(maxsize=32)
-def _cached_system(lattice: LatticeSpec, params: ModelParams, model: str):
-    table = neighbor_table(lattice)
-    h = driven_hamiltonian(lattice, table, params)
-    jumps = tuple(jump_operators(lattice, table, params, model))
-    return h, jumps
+def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
+    """H_eff = H - (i/2) sum_j L_j^dag L_j. Its anti-Hermitian part is
+    -(i gamma/2) sum_k n_k for both dissipation models, by completeness of
+    the neighborhood projectors."""
+    acc = sp.csr_matrix(H, dtype=complex)
+    for j in jumps:
+        acc = acc - 0.5j * (j.matrix.conj().T @ j.matrix)
+    return acc.tocsr()
 
 
 def build_system(lattice: LatticeSpec, params: ModelParams, model: str):
-    """Driven Hamiltonian and jump operators, cached per
-    (lattice, params, model)."""
-    return _cached_system(lattice, params, check_model(model))
+    """Driven Hamiltonian and jump operators of one (lattice, params, model)."""
+    table = neighbor_table(lattice)
+    return driven_hamiltonian(lattice, table, params), jump_operators(lattice, table, params, model)

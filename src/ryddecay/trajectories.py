@@ -3,8 +3,8 @@
 Waiting-time algorithm (Dalibard, Castin & Molmer, PRL 68, 580 (1992)):
 between jumps psi(t0 + tau) = V exp(-i lam tau) V^-1 psi(t0), from one
 eigendecomposition H_eff = H - (i/2) sum_j L_j^dag L_j = V diag(lam) V^-1 per
-ensemble (dense expm if cond(V) > COND_LIMIT), on all remaining sample times
-at once. The norm does not increase between jumps, so the first sample at or
+(Delta, Omega) cell, shared by both models (dense expm if cond(V) >
+COND_LIMIT), on all remaining sample times at once. The norm does not increase between jumps, so the first sample at or
 below a uniform threshold brackets the jump, whose time is refined on the
 closed form to JUMP_TIME_TOL; the channel is drawn by ||L_j psi||^2.
 
@@ -32,6 +32,7 @@ from .operators import (
     excitation_count_vector,
     jump_operators,
     driven_hamiltonian,
+    effective_hamiltonian,
 )
 
 JUMP_TIME_TOL = 1e-10
@@ -67,7 +68,12 @@ class TrajectoryEnsembleResult:
     master_seed: int
     samples: np.ndarray = field(repr=False, default=None)  # (n_traj, n_times)
     jump_counts: dict = field(default_factory=dict)  # xi (None: single) -> jumps
-    cond: float = float("nan")  # cond(V) of H_eff; above COND_LIMIT expm was used
+    propagator: NoJumpPropagator | None = field(repr=False, default=None)
+
+    @property
+    def cond(self) -> float:
+        """cond(V) of H_eff; above COND_LIMIT expm was used."""
+        return self.propagator.cond if self.propagator is not None else float("nan")
 
     def window_statistics(self, window_times: np.ndarray) -> tuple[float, float]:
         """Across-trajectory mean and standard error of the per-trajectory
@@ -81,16 +87,6 @@ class TrajectoryEnsembleResult:
         if self.n_traj < 2:
             return mean, 0.0
         return mean, float(np.std(per_traj, ddof=1) / np.sqrt(self.n_traj))
-
-
-def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
-    """H - (i/2) sum_j L_j^dag L_j; anti-Hermitian part is -(i gamma/2) sum_k
-    n_k for both dissipation models."""
-    acc = sp.csr_matrix(H, dtype=complex)
-    for j in jumps:
-        L = j.matrix if hasattr(j, "matrix") else j
-        acc = acc - 0.5j * (L.conj().T @ L)
-    return acc.tocsr()
 
 
 @dataclass
@@ -162,12 +158,8 @@ def evolve_trajectory(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     prop = h_eff if isinstance(h_eff, NoJumpPropagator) else no_jump_propagator(h_eff)
     channels = list(jumps)
-    mats = [(c.matrix if hasattr(c, "matrix") else c) for c in channels]
-    labels = [
-        (c.site, c.xi) if hasattr(c, "site") else (i, None)
-        for i, c in enumerate(channels)
-    ]
-    stacked = sp.vstack(mats).tocsr()  # one product gives every L_j psi
+    # one product gives every L_j psi
+    stacked = sp.vstack([c.matrix for c in channels]).tocsr()
 
     # jumps are looked for up to t_final, also past the last sample
     grid = sample_times
@@ -204,7 +196,7 @@ def evolve_trajectory(
             lo, hi, psi_at = taus[k - 1], taus[k], block[k]
         t0 += hi
         ptr += reached
-        amps = (stacked @ psi_at).reshape(len(mats), -1)
+        amps = (stacked @ psi_at).reshape(len(channels), -1)
         weights = np.sum(np.abs(amps) ** 2, axis=1)
         total = weights.sum()
         if total <= 0.0:
@@ -212,8 +204,8 @@ def evolve_trajectory(
             psi = psi_at / np.sqrt(_norm2(psi_at))
             threshold = -np.inf
             continue
-        j = int(rng.choice(len(mats), p=weights / total))
-        jump_log.append(JumpEvent(t0, *labels[j]))
+        j = int(rng.choice(len(channels), p=weights / total))
+        jump_log.append(JumpEvent(t0, channels[j].site, channels[j].xi))
         psi = amps[j] / np.sqrt(weights[j])
         threshold = rng.random()
     return TrajectoryResult(sample_times, values, jump_log)
@@ -236,22 +228,29 @@ def run_ensemble(
     t_final: float = 5.0,
     sample_times=None,
     threads: int = 1,
+    propagator: NoJumpPropagator | None = None,
 ) -> TrajectoryEnsembleResult:
-    """Ensemble of independent trajectories with deterministic child seeds."""
+    """Ensemble of independent trajectories with deterministic child seeds.
+
+    propagator is the NoJumpPropagator of the cell's H_eff, built here when
+    not given. H_eff does not depend on the model, so the one returned in
+    the result serves the other model of the same cell.
+    """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     check_model(model)
     table = neighbor_table(lattice)
-    h = driven_hamiltonian(lattice, table, params)
     jumps = jump_operators(lattice, table, params, model)
-    prop = no_jump_propagator(effective_hamiltonian(h, jumps))
+    if propagator is None:
+        h = driven_hamiltonian(lattice, table, params)
+        propagator = no_jump_propagator(effective_hamiltonian(h, jumps))
     obs = excitation_count_vector(lattice) / lattice.site_count
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 51)
     sample_times = np.asarray(sample_times, dtype=float)
 
     children = np.random.SeedSequence(master_seed).spawn(n_traj)
-    tasks = [(child, psi0, prop, jumps, t_final, sample_times, obs) for child in children]
+    tasks = [(child, psi0, propagator, jumps, t_final, sample_times, obs) for child in children]
     workers = min(threads, n_traj, os.cpu_count() or 1)
     if workers <= 1:
         results = [_run_one(task) for task in tasks]
@@ -274,5 +273,5 @@ def run_ensemble(
         master_seed=master_seed,
         samples=samples,
         jump_counts=jump_counts,
-        cond=prop.cond,
+        propagator=propagator,
     )

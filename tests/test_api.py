@@ -1,0 +1,71 @@
+"""The public API: the names a CLI path or an independent test oracle uses."""
+
+import importlib
+
+import pytest
+
+import ryddecay
+from ryddecay.lattice import LatticeSpec
+from ryddecay.operators import site_operator
+
+PUBLIC = {
+    "__version__",
+    # lattice and operators
+    "LatticeSpec", "NeighborTable", "build_lattice", "neighbor_table",
+    "ModelParams", "SINGLE", "COLLECTIVE", "site_operator", "neighborhood_projector",
+    "atomic_hamiltonian", "driven_hamiltonian", "jump_operators",
+    # exact Lindblad layer
+    "IntegrationResult", "SteadyStateScan", "integrate_exact", "lindblad_rhs",
+    "excitation_density", "scan_steady_state", "window_times",
+    # coherence
+    "CoherenceState", "initial_coherence", "evolve", "mode_series",
+    "verify_against_master_equation",
+    # jump trajectories
+    "TrajectoryResult", "TrajectoryEnsembleResult", "run_ensemble",
+    # mean field
+    "MeanFieldParams", "MeanFieldState", "FixedPoint", "PhaseDiagram", "mf_rhs",
+    "mf_oracle_check", "find_fixed_points", "scan_phase_diagram",
+    "refine_critical_point", "integrate_mf",
+    # emission kernels
+    "KernelInputs", "gamma_kernel", "v_kernel", "gamma_xi_rate",
+}
+
+# (module, attribute path) of API that neither a CLI path nor an oracle used
+DELETED = [
+    ("ryddecay.master_equation", "ObservableSeries"),
+    ("ryddecay.master_equation", "steady_state_window_average"),
+    ("ryddecay.master_equation", "product_state_vector"),
+    ("ryddecay.master_equation", "pure_state_density"),
+    ("ryddecay.master_equation", "_jump_matrices"),
+    ("ryddecay.operators", "ModelParams.rwa_advisory"),
+    ("ryddecay.operators", "dissipator_anticommutator_diag"),
+    ("ryddecay.operators", "is_hermitian"),
+    ("ryddecay.operators", "JumpOperator.label"),
+    ("ryddecay.operators", "_cached_system"),
+    ("ryddecay.lattice", "site_coords"),
+    ("ryddecay.meanfield", "MeanFieldState.bounds_violation"),
+    ("ryddecay.coherence", "evolve_single"),
+    ("ryddecay.coherence", "evolve_collective"),
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(ryddecay.__all__) == len(set(ryddecay.__all__))
+    assert set(ryddecay.__all__) == PUBLIC
+    for name in ryddecay.__all__:
+        assert getattr(ryddecay, name) is not None
+
+
+@pytest.mark.parametrize("module, path", DELETED, ids=[p for _, p in DELETED])
+def test_deleted_name_is_gone(module, path):
+    obj = importlib.import_module(module)
+    *owners, last = path.split(".")
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, last)
+    assert last not in ryddecay.__all__
+
+
+def test_sigma_plus_kind_is_gone():
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        site_operator(LatticeSpec(1, (2,), "open"), 0, "sigma_plus")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ryddecay import trajectories
 from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, POSITIVE_KEYS, _contrast, _fmt, main
 from ryddecay.trajectories import COND_LIMIT
 
@@ -207,6 +208,12 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     ("coherence", {"t_max": -1.0}, "t_max must be finite and positive"),
     ("trajectories", {"t_final": float("inf")}, "t_final must be finite and positive"),
     ("trajectories", {"omega_max": float("-inf")}, "omega_max must be finite"),
+    ("meanfield", {"delta_min": -1e200}, "Delta, Omega or V too large"),
+    ("meanfield", {"omega_max": 1e160}, "Delta, Omega or V too large"),
+    ("coherence", {"d": 600}, "d must be between 1 and 511"),
+    ("coherence", {"d": 512}, "d must be between 1 and 511"),
+    ("coherence", {"models": []}, "models must name at least one model"),
+    ("coherence", {"models": ["single", "single"]}, "models must be distinct"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):
@@ -297,6 +304,23 @@ def test_trajectories_manifest_jump_counts(tmp_path):
     assert not any("jump" in c for c in columns)
     prop = manifest["no_jump_propagator"]
     assert prop["expm_cells"] == [] and 1.0 <= prop["max_cond"] < COND_LIMIT
+
+
+def test_trajectories_one_propagator_per_cell(tmp_path, monkeypatch):
+    # H_eff does not depend on the model, so both models of a cell share
+    # one eigendecomposition
+    calls = []
+    original = trajectories.no_jump_propagator
+
+    def counting(h_eff):
+        calls.append(h_eff.shape)
+        return original(h_eff)
+
+    monkeypatch.setattr(trajectories, "no_jump_propagator", counting)
+    cfg = {**TRAJ_CFG, "delta_min": -30.0, "n_delta": 2, "omega_min": 2.5,
+           "omega_max": 10.0, "n_omega": 2, "n_traj": 2, "model": "both"}
+    run(tmp_path, "trajectories", cfg)
+    assert len(calls) == 2 * 2
 
 
 def test_trajectories_seed_flag_changes_output(tmp_path):

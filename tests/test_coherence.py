@@ -6,8 +6,6 @@ import pytest
 from ryddecay.coherence import (
     CoherenceState,
     evolve,
-    evolve_collective,
-    evolve_single,
     initial_coherence,
     mode_series,
     short_time_coefficients,
@@ -57,13 +55,13 @@ def test_state_validation():
 
 def test_collective_mode_zero():
     state = initial_coherence(1, gamma=1.0)
-    out = evolve_collective(state, 1.0)
+    out = evolve(state, 1.0)
     assert abs(out.xi_values[0]) == pytest.approx(0.125 * np.exp(-0.5), rel=1e-12)
 
 
 def test_collective_sum_v_zero():
     state = initial_coherence(1, V=0.0, gamma=1.0)
-    out = evolve_collective(state, 1.0)
+    out = evolve(state, 1.0)
     expect = 0.125 * np.exp(-0.5) + 0.25 * np.exp(-1.5) + 0.125 * np.exp(-2.5)
     assert out.abs_total == pytest.approx(expect, rel=1e-12)
     assert expect == pytest.approx(0.141859, abs=5e-7)
@@ -80,7 +78,7 @@ def test_single_v_zero_resums_to_half_exponential():
     for d in (1, 2, 3):
         state = initial_coherence(d, V=0.0, gamma=1.0, model=SINGLE)
         for t in (0.3, 1.0, 2.5):
-            assert evolve_single(state, t).abs_total == pytest.approx(
+            assert evolve(state, t).abs_total == pytest.approx(
                 0.5 * np.exp(-t / 2), rel=1e-10
             )
     assert 0.5 * np.exp(-0.5) == pytest.approx(0.303265, abs=5e-7)
@@ -89,7 +87,7 @@ def test_single_v_zero_resums_to_half_exponential():
 def test_single_top_mode_follows_collective_law():
     d = 2
     state = initial_coherence(d, V=3.0, gamma=1.0, model=SINGLE)
-    out = evolve_single(state, 0.7)
+    out = evolve(state, 0.7)
     top = state.xi_values[-1] * np.exp(-(0.5 + 2 * d * (1.0 + 3.0j)) * 0.7)
     assert out.xi_values[-1] == pytest.approx(top, rel=1e-12)
 
@@ -101,7 +99,7 @@ def test_single_top_mode_follows_collective_law():
 def test_single_sum_against_generating_function(d, omega_a, V, gamma):
     state = initial_coherence(d, omega_a, V, gamma, model=SINGLE)
     for t in (0.2, 1.0):
-        got = evolve_single(state, t).total
+        got = evolve(state, t).total
         want = single_sum_oracle(d, omega_a, V, gamma, t)
         assert abs(got - want) < 1e-12
 
@@ -113,7 +111,7 @@ def test_collective_modes_never_mix():
     for _ in range(2):
         prof = rng.random(3) + 1j * rng.random(3)
         state = CoherenceState(prof, d=1, V=5.0, gamma=1.0, model=COLLECTIVE)
-        ratio = evolve_collective(state, t).xi_values / prof
+        ratio = evolve(state, t).xi_values / prof
         if factors is None:
             factors = ratio
         else:

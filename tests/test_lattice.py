@@ -8,7 +8,6 @@ from ryddecay.lattice import (
     build_lattice,
     all_coords,
     neighbor_table,
-    site_coords,
     site_index,
 )
 
@@ -62,7 +61,6 @@ def test_row_major_round_trip():
     lat = build_lattice(2, [3, 4], "open")
     for idx, coords in enumerate(itertools.product(range(3), range(4))):
         assert site_index(lat, coords) == idx
-        assert site_coords(lat, idx) == coords
     assert [tuple(c) for c in all_coords(lat)] == list(
         itertools.product(range(3), range(4))
     )
@@ -111,8 +109,8 @@ def test_periodic_coordination_and_bond_dedup(lat):
 @settings(max_examples=30, deadline=None)
 @given(lattice_specs())
 def test_index_round_trip_property(lat):
-    for idx in range(lat.site_count):
-        assert site_index(lat, site_coords(lat, idx)) == idx
+    for idx, coords in enumerate(all_coords(lat)):
+        assert site_index(lat, coords) == idx
 
 
 def test_immutability():

@@ -7,6 +7,7 @@ from ryddecay.meanfield import (
     ORACLE_VERIFIED,
     MeanFieldParams,
     MeanFieldState,
+    _box_violation,
     find_fixed_points,
     integrate_mf,
     mf_jacobian,
@@ -307,5 +308,5 @@ def test_critical_point_absent_raises(params, kwargs):
 
 
 def test_bounds_violation_helper():
-    assert MeanFieldState(0.5, 0.3, -0.3).bounds_violation() == 0.0
-    assert MeanFieldState(1.2, 0.0, 0.0).bounds_violation() > 0.1
+    assert _box_violation(MeanFieldState(0.5, 0.3, -0.3).as_array()) == 0.0
+    assert _box_violation(MeanFieldState(1.2, 0.0, 0.0).as_array()) > 0.1

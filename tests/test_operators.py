@@ -8,11 +8,8 @@ from ryddecay.operators import (
     SINGLE,
     ModelParams,
     atomic_hamiltonian,
-    build_system,
-    dissipator_anticommutator_diag,
     driven_hamiltonian,
     excitation_count_vector,
-    is_hermitian,
     jump_operators,
     neighbor_count_vector,
     neighborhood_projector,
@@ -33,8 +30,6 @@ def test_params_validation():
         ModelParams(gamma=0.0)
     with pytest.raises(ValueError):
         ModelParams(gamma=-1.0)
-    assert ModelParams(V=0.5, gamma=1.0).rwa_advisory
-    assert not ModelParams(V=10.0, gamma=1.0).rwa_advisory
 
 
 def test_single_site_number_operator():
@@ -53,13 +48,6 @@ def test_sigma_minus_structure():
     assert d[0, 2] == 1.0 and d[1, 3] == 1.0
 
 
-def test_sigma_plus_is_adjoint():
-    for k in range(4):
-        sm = site_operator(CHAIN4, k, "sigma_minus")
-        sp_ = site_operator(CHAIN4, k, "sigma_plus")
-        assert (sp_ - sm.conj().T).nnz == 0
-
-
 def test_sigma_y_convention():
     # sigma_y = -i sigma_+ + i sigma_-, so [n, sigma_x] = i sigma_y
     lat = LatticeSpec(1, (1,), "open")
@@ -67,7 +55,7 @@ def test_sigma_y_convention():
     sx = dense(site_operator(lat, 0, "sigma_x"))
     sy = dense(site_operator(lat, 0, "sigma_y"))
     assert np.allclose(n @ sx - sx @ n, 1j * sy)
-    assert is_hermitian(sy)
+    assert np.array_equal(sy, sy.conj().T)
 
 
 def test_site_index_out_of_range():
@@ -156,7 +144,7 @@ def test_atomic_hamiltonian_energies():
 def test_atomic_hamiltonian_is_diagonal_hermitian():
     h = atomic_hamiltonian(CHAIN4, TABLE4, ModelParams(omega_a=0.7, V=3.0))
     assert (h - sp.diags(h.diagonal())).nnz == 0
-    assert is_hermitian(h)
+    assert (h - h.conj().T).nnz == 0
 
 
 def test_driven_hamiltonian_structure():
@@ -187,8 +175,6 @@ def test_jump_operator_counts_and_labels():
     assert sorted({(j.site, j.xi) for j in coll}) == [
         (k, xi) for k in range(4) for xi in range(3)
     ]
-    assert "k=0" in singles[0].label
-    assert "xi=" in coll[0].label
 
 
 @pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
@@ -197,10 +183,6 @@ def test_jump_rate_resolution(model):
     acc = sum((j.matrix.conj().T @ j.matrix for j in jumps))
     target = sp.diags(excitation_count_vector(CHAIN4).astype(complex))
     assert np.allclose(dense(acc), dense(target), atol=1e-15)
-    assert np.allclose(
-        dissipator_anticommutator_diag(CHAIN4, ModelParams(gamma=1.0)),
-        excitation_count_vector(CHAIN4),
-    )
 
 
 def test_occupation_vectors():
@@ -211,9 +193,3 @@ def test_occupation_vectors():
         sum(occupation_vector(CHAIN4, k) for k in range(4)),
     )
 
-
-def test_build_system_caches():
-    mp = ModelParams(V=10.0)
-    h1, j1 = build_system(CHAIN4, mp, SINGLE)
-    h2, j2 = build_system(CHAIN4, mp, SINGLE)
-    assert h1 is h2 and j1 is j2

@@ -358,6 +358,22 @@ def test_jump_counts_match_logs_for_any_thread_count():
     assert serial.cond < 1e6
 
 
+def test_shared_propagator_gives_the_same_ensemble():
+    # the propagator built for the single model serves the collective one
+    # with the same bytes as a propagator built from the collective channels
+    params = ModelParams(V=10.0, gamma=0.7, Omega=2.5, Delta=-6.0)
+    kw = dict(n_traj=6, master_seed=11, t_final=2.0,
+              sample_times=np.linspace(0.0, 2.0, 5))
+    single = run_ensemble(CHAIN4, params, SINGLE, vacuum(4), **kw)
+    shared = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4),
+                          propagator=single.propagator, **kw)
+    own = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4), **kw)
+    assert shared.propagator is single.propagator
+    assert sum(own.jump_counts.values()) > 0
+    assert shared.samples.tobytes() == own.samples.tobytes()
+    assert shared.jump_counts == own.jump_counts
+
+
 def test_cli_import_leaves_out_dense_linalg_and_optimize():
     src = str(Path(ryddecay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

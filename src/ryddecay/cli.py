@@ -528,6 +528,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: numerical overflow, inputs too large ({exc})", file=sys.stderr)
+        return 1
     for path in written:
         print(path)
     return 0

@@ -7,10 +7,13 @@ models evolve the modes linearly:
     collective: dX_xi/dt = -(i omega_a + gamma/2) X_xi - xi (gamma + i V) X_xi
     single:     same plus the cascade feed  + gamma (xi+1) X_{xi+1}
 
-with X_{2d+1} = 0. The collective modes decouple and have a one-line closed
-form; the single-atom cascade is upper bidiagonal and is solved exactly by
-backward recursion over xi with exponential integrating factors. The module
-is parameterized by the half-coordination d only; no lattice is involved.
+with X_{2d+1} = 0. One generating-function closed form solves both: each
+excited neighbor keeps its excitation with amplitude s(t), and under
+single-atom decay only it has decayed with amplitude f(t) (mode_series).
+Its terms are bounded by (|s| + |f|)^m, and no large terms cancel as in an
+eigen-expansion of the cascade, so it stays accurate for every d whose
+initial profile fits in float64. The module is parameterized by the half-coordination d only; no
+lattice is involved except in the exact master-equation cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import LatticeSpec, neighbor_table
+from .lattice import LatticeSpec, half_coordination, neighbor_table
 from .master_equation import integrate_exact, product_density
 from .operators import (
     COLLECTIVE,
@@ -79,41 +82,26 @@ def initial_coherence(
     return CoherenceState(values, d, omega_a, V, gamma, model)
 
 
-def _mode_rates(state: CoherenceState) -> np.ndarray:
-    xi = np.arange(2 * state.d + 1)
-    return (1j * state.omega_a + state.gamma / 2.0) + xi * (state.gamma + 1j * state.V)
-
-
-def _single_coefficients(state: CoherenceState) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion X_xi(t) = sum_j c[xi, j] exp(-a_j t) of the cascade.
-
-    The denominators a_xi - a_j = (xi - j)(gamma + i V) never vanish for
-    gamma > 0, so no confluence occurs there; gamma = 0 switches the feed
-    term off entirely and the modes decouple (the limit formula).
-    """
-    n_modes = 2 * state.d + 1
-    a = _mode_rates(state)
-    c = np.zeros((n_modes, n_modes), dtype=complex)
-    if state.gamma == 0.0:
-        np.fill_diagonal(c, state.xi_values)
-        return c, a
-    lam = state.gamma + 1j * state.V
-    c[n_modes - 1, n_modes - 1] = state.xi_values[n_modes - 1]
-    for xi in range(n_modes - 2, -1, -1):
-        js = np.arange(xi + 1, n_modes)
-        c[xi, js] = state.gamma * (xi + 1) * c[xi + 1, js] / ((xi - js) * lam)
-        c[xi, xi] = state.xi_values[xi] - np.sum(c[xi, js])
-    return c, a
-
-
 def mode_series(state: CoherenceState, times: np.ndarray) -> np.ndarray:
-    """Mode amplitudes on a time grid, shape (2d+1, len(times))."""
+    """Mode amplitudes on a time grid, shape (2d+1, len(times)).
+
+    Each excited neighbor keeps its excitation with amplitude
+    s = exp(-(gamma + iV) t). With single-atom decay it has decayed with
+    f = gamma (1 - s) / (gamma + iV); collective decay (or gamma = 0) has
+    f = 0. Hence sum_xi X_xi(t) z^xi = exp(-(i omega_a + gamma/2) t)
+    sum_m X_m(0) (s z + f)^m, expanded here by Horner's rule in m.
+    """
     times = np.asarray(times, dtype=float)
-    if state.model == COLLECTIVE:
-        a = _mode_rates(state)
-        return state.xi_values[:, None] * np.exp(-np.outer(a, times))
-    c, a = _single_coefficients(state)
-    return c @ np.exp(-np.outer(a, times))
+    lam = state.gamma + 1j * state.V
+    s = np.exp(-lam * times)
+    f = state.gamma * (1.0 - s) / lam if state.model == SINGLE and state.gamma else 0.0
+    out = np.zeros((2 * state.d + 1, len(times)), dtype=complex)
+    # after the step for X_m, out holds the 2d - m + 1 coefficients of
+    # sum_{m' >= m} X_m' (s z + f)^(m' - m)
+    for k, x_m in enumerate(state.xi_values[::-1]):
+        out[1:k + 1] = s * out[:k] + f * out[1:k + 1]
+        out[0] = f * out[0] + x_m
+    return np.exp(-(1j * state.omega_a + state.gamma / 2.0) * times) * out
 
 
 def evolve(state: CoherenceState, t: float) -> CoherenceState:
@@ -147,14 +135,8 @@ def exact_mode_series(
     check_model(model)
     if params.Omega != 0.0:
         raise ValueError("coherence cross-check requires Omega = 0")
+    d = half_coordination(lattice)
     table = neighbor_table(lattice)
-    coord = {len(nb) for nb in table.neighbors}
-    if len(coord) != 1 or (coord.pop() % 2) != 0:
-        raise ValueError(
-            "translation-invariance violated: non-uniform coordination "
-            "(use a periodic lattice)"
-        )
-    two_d = len(table.neighbors[0])
     n = lattice.site_count
 
     rho0 = product_density(np.full((2, 2), 0.5), n)
@@ -163,22 +145,14 @@ def exact_mode_series(
     t_grid = np.asarray(t_grid, dtype=float)
     res = integrate_exact(rho0, h, jumps, float(t_grid.max()), sample_times=t_grid)
 
-    # dense mode operators (1/N) sum_k P_k^xi sigma_k^-
-    mode_ops = []
-    for xi in range(two_d + 1):
-        acc = None
-        for k in range(n):
-            op = neighborhood_projector(lattice, table, k, xi) @ site_operator(
-                lattice, k, "sigma_minus"
-            )
-            acc = op if acc is None else acc + op
-        mode_ops.append(np.asarray(acc.todense()) / n)
-
-    out = np.zeros((two_d + 1, len(t_grid)), dtype=complex)
-    for it, rho in enumerate(res.states):
-        for xi, op in enumerate(mode_ops):
-            out[xi, it] = np.trace(op @ rho)
-    return out
+    # dense mode operators (1/N) sum_k P_k^xi sigma_k^-, contracted with
+    # every snapshot at once: X_xi(t) = tr(op_xi rho(t))
+    mode_ops = np.stack([
+        sum(neighborhood_projector(lattice, table, k, xi)
+            @ site_operator(lattice, k, "sigma_minus") for k in range(n)).toarray()
+        for xi in range(2 * d + 1)
+    ]) / n
+    return np.einsum("xij,tji->xt", mode_ops, np.asarray(res.states))
 
 
 def verify_against_master_equation(
@@ -191,8 +165,7 @@ def verify_against_master_equation(
     mode solutions over the grid and all modes."""
     t_grid = np.asarray(t_grid, dtype=float)
     exact = exact_mode_series(lattice, params, model, t_grid)
-    table = neighbor_table(lattice)
-    d = len(table.neighbors[0]) // 2
-    state = initial_coherence(d, params.omega_a, params.V, params.gamma, model)
+    state = initial_coherence(half_coordination(lattice), params.omega_a, params.V,
+                              params.gamma, model)
     analytic = mode_series(state, t_grid)
     return float(np.max(np.abs(exact - analytic)))

@@ -98,3 +98,13 @@ def neighbor_table(lattice: LatticeSpec) -> NeighborTable:
         neighbors.append(tuple(sorted(here)))
         bonds.update((min(k, m), max(k, m)) for m in here)
     return NeighborTable(tuple(neighbors), tuple(sorted(bonds)))
+
+
+def half_coordination(lattice: LatticeSpec) -> int:
+    """The half-coordination d of a translation-invariant lattice, whose
+    sites all have the same even number 2d of neighbors."""
+    coord = {len(nb) for nb in neighbor_table(lattice).neighbors}
+    if len(coord) != 1 or min(coord) % 2:
+        raise ValueError("translation-invariance violated: non-uniform or odd "
+                         "coordination (use a periodic lattice)")
+    return min(coord) // 2

@@ -112,6 +112,9 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
     return gen.tocsr()
 
 
+# an L too large for float64 overflows expm_multiply's norm estimates, which
+# warn before scipy raises OverflowError
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
     """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, neighbor_table
+from .lattice import LatticeSpec, half_coordination, neighbor_table
 from .master_equation import lindblad_rhs, product_density
 from .operators import (
     COLLECTIVE,
@@ -53,6 +53,9 @@ NEWTON_RESIDUAL = 1e-12
 DEDUP_TOL = 1e-6
 STABLE_EIG_TOL = -1e-9
 BOUNDS_SLACK = 1e-6
+# eigenvalues of a 3x3 Jacobian J carry absolute errors of a few eps ||J||
+EIG_ROUNDING = 100 * np.finfo(float).eps
+TOO_LARGE = "Delta, Omega or V too large"
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,8 @@ def mf_jacobian(
     return np.stack([row0, row1, row2], axis=-2)
 
 
+# an overflow in the polish shows as a non-finite residual, rejected below
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDiagram:
     """Newton-polish, deduplicate and classify the candidates (..., K, 3) of
     each cell; params.Delta and params.Omega broadcast to the cells' shape
@@ -213,6 +218,8 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
         xa[~np.isfinite(xa).all(axis=-1)] = 0.0  # runaway candidates restart at the origin
         x[active] = xa
     residual = np.max(np.abs(mf_rhs(x, cells, sign_convention, model)), axis=-1)
+    if not np.isfinite(residual[valid]).all():
+        raise ValueError(f"{TOO_LARGE}: a fixed-point candidate's residual overflows float64")
     kept = valid & (residual < NEWTON_RESIDUAL)
 
     for j in range(1, k):
@@ -220,7 +227,11 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
         kept[:, j] &= ~np.any(kept[:, :j] & near, axis=-1)
 
     stable = np.zeros_like(kept)
-    eig = np.linalg.eigvals(mf_jacobian(x, cells, sign_convention, model)[kept])
+    jac = mf_jacobian(x, cells, sign_convention, model)[kept]
+    eig = np.linalg.eigvals(jac)
+    if np.any(np.abs(eig.real - STABLE_EIG_TOL)
+              <= EIG_ROUNDING * np.linalg.norm(jac, axis=(-2, -1))[:, None]):
+        raise ValueError(f"{TOO_LARGE}: float64 cannot resolve a fixed point's stability")
     stable[kept] = np.all(eig.real < STABLE_EIG_TOL, axis=-1)
     physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
 
@@ -307,19 +318,26 @@ def scan_phase_diagram(
         p3, *rest = _cubic_coefficients(delta_grid[:, None], omega_grid[None, :] ** 2,
                                         g, w, u, sigma)
     if not all(np.isfinite(c).all() for c in (p3, *rest)):
-        raise ValueError("Delta, Omega or V too large: the stationarity cubic's "
-                         "coefficients overflow float64")
+        raise ValueError(f"{TOO_LARGE}: the stationarity cubic's coefficients overflow float64")
     n, valid = _real_roots(p3, *np.broadcast_arrays(*rest))
     D, O = delta_grid[:, None, None], omega_grid[None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = 0.5 * g * (u * n + 1.0)
         s_y = g * n / O
         s_x = -(D + w * n) * s_y / a
     driven = O != 0.0
     candidates = np.where(driven[..., None], np.stack([n, s_x, s_y], axis=-1), 0.0)
     valid = np.where(driven, valid & (np.abs(a) >= 1e-12), np.arange(n.shape[-1]) == 0)
-    return _solve(candidates, valid, replace(params, Delta=D, Omega=O),
-                  sign_convention, model, iters=30)
+    if not np.isfinite(candidates[valid]).all():
+        raise ValueError(f"{TOO_LARGE}: a fixed-point candidate overflows float64")
+    pd = _solve(candidates, valid, replace(params, Delta=D, Omega=O),
+                sign_convention, model, iters=30)
+    # a root outside the box may miss NEWTON_RESIDUAL by rounding alone
+    inside = valid & (_box_violation(candidates) <= BOUNDS_SLACK)
+    if np.any(inside.any(axis=-1) & np.isnan(pd.states[..., 0, 0])):
+        raise ValueError(f"{TOO_LARGE}: no fixed-point candidate of a cell gets its "
+                         f"residual below {NEWTON_RESIDUAL:g} in float64")
+    return pd
 
 
 def refine_critical_point(
@@ -418,14 +436,8 @@ def mf_oracle_check(
     deviations; s_z carries no freedom, it is pinned to 2n - 1 by the qubit
     identity.
     """
+    d = half_coordination(lattice)
     table = neighbor_table(lattice)
-    coord = {len(nb) for nb in table.neighbors}
-    if len(coord) != 1:
-        raise ValueError("translation-invariance violated: non-uniform coordination")
-    two_d = coord.pop()
-    if two_d % 2 != 0:
-        raise ValueError("odd coordination cannot map to a half-coordination d")
-    d = two_d // 2
     n_sites = lattice.site_count
 
     s_z = 2.0 * state.n - 1.0
@@ -451,10 +463,7 @@ def mf_oracle_check(
         model,
     )
     for i, which in enumerate(("number", "sigma_x", "sigma_y")):
-        acc = None
-        for k in range(n_sites):
-            op = site_operator(lattice, k, which)
-            acc = op if acc is None else acc + op
+        acc = sum(site_operator(lattice, k, which) for k in range(n_sites))
         exact = np.trace(acc.toarray() @ drho).real / n_sites
         devs.append(abs(exact - mf[i]))
     return np.array(devs)

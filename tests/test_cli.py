@@ -59,6 +59,13 @@ def test_coherence_initial_row_and_free_decay(tmp_path):
         assert x == pytest.approx(0.5 * np.exp(-t / 2), rel=1e-12)
 
 
+def test_coherence_single_resums_at_large_d(tmp_path):
+    run(tmp_path, "coherence", {"d": 40, "V": 0.0, "n_times": 21})
+    _, columns, rows = read_csv(tmp_path / "coherence.csv")
+    for t, x in zip(col(columns, rows, "t"), col(columns, rows, "abs_X_single")):
+        assert abs(x - 0.5 * np.exp(-t / 2)) < 1e-12
+
+
 def test_coherence_short_time_slope_ratio(tmp_path):
     run(tmp_path, "coherence", {"V": 10.0, "t_max": 2e-3, "n_times": 3})
     _, columns, rows = read_csv(tmp_path / "coherence.csv")
@@ -214,6 +221,9 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     ("coherence", {"d": 512}, "d must be between 1 and 511"),
     ("coherence", {"models": []}, "models must name at least one model"),
     ("coherence", {"models": ["single", "single"]}, "models must be distinct"),
+    ("steady-state", {"V": 1e200}, "numerical overflow"),
+    ("meanfield", {"delta_min": -1e150}, "Delta, Omega or V too large"),
+    ("meanfield", {"omega_max": 1e150}, "Delta, Omega or V too large"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):

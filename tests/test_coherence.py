@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ryddecay.coherence import (
     CoherenceState,
@@ -18,7 +19,10 @@ from ryddecay.operators import COLLECTIVE, SINGLE, ModelParams
 def single_sum_oracle(d, omega_a, V, gamma, t):
     """Generating-function closed form for the summed single-model coherence:
     X(t) = 2^(-2d-1) e^(-(i omega_a + gamma/2) t) (1 + mu + (1-mu) e^(-(gamma+iV)t))^(2d)
-    with mu = gamma/(gamma+iV). Derived independently of the cascade recursion."""
+    with mu = gamma/(gamma+iV). mode_series expands the same generating
+    function mode by mode; this is its binomial sum at z = 1 in closed form.
+    The independent oracle is the matrix exponential of the cascade
+    (test_modes_match_matrix_exponential)."""
     lam = gamma + 1j * V
     mu = gamma / lam
     base = 1 + mu + (1 - mu) * np.exp(-lam * t)
@@ -75,13 +79,28 @@ def test_evolve_at_zero_is_identity():
 
 
 def test_single_v_zero_resums_to_half_exponential():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 20, 40, 511):
         state = initial_coherence(d, V=0.0, gamma=1.0, model=SINGLE)
         for t in (0.3, 1.0, 2.5):
             assert evolve(state, t).abs_total == pytest.approx(
                 0.5 * np.exp(-t / 2), rel=1e-10
             )
     assert 0.5 * np.exp(-0.5) == pytest.approx(0.303265, abs=5e-7)
+
+
+@pytest.mark.parametrize("d", [20, 40])
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+def test_modes_match_matrix_exponential(model, d):
+    # the mode ODEs as one (2d+1) bidiagonal generator, solved by expm
+    omega_a, V, gamma = 0.3, 10.0, 1.0
+    state = initial_coherence(d, omega_a, V, gamma, model=model)
+    xi = np.arange(2 * d + 1)
+    gen = np.diag(-(1j * omega_a + gamma / 2 + xi * (gamma + 1j * V)))
+    if model == SINGLE:
+        gen += np.diag(gamma * xi[1:].astype(float), 1)
+    ts = np.linspace(0.0, 2.0, 21)
+    want = np.stack([expm(gen * t) @ state.xi_values for t in ts], axis=1)
+    assert np.max(np.abs(mode_series(state, ts) - want)) < 1e-14
 
 
 def test_single_top_mode_follows_collective_law():

@@ -159,6 +159,31 @@ def test_scan_rejects_non_finite_input(deltas, omegas, params):
         scan_phase_diagram(deltas, omegas, params)
 
 
+@pytest.mark.parametrize("deltas, omegas, V, message", [
+    ([-30.0], [1e150], 10.0, "candidate overflows"),
+    ([-1e150], [2.5], 10.0, "cannot resolve a fixed point's stability"),
+    ([-20000.0], [3250.0], 1e4, "residual below 1e-12"),
+])
+def test_scan_rejects_inputs_beyond_float64(deltas, omegas, V, message):
+    # each of these cells used to come back with no stable fixed point
+    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=V)
+    with pytest.raises(ValueError, match=f"Delta, Omega or V too large: .*{message}"):
+        scan_phase_diagram(deltas, omegas, params)
+
+
+def test_residual_overflow_rejected():
+    with pytest.raises(ValueError, match="residual overflows"):
+        find_fixed_points(MeanFieldParams(Delta=0.0, Omega=1e308, gamma=1.0, d=1, V=0.0))
+
+
+def test_unphysical_root_may_miss_residual():
+    # p1 nearly cancels, so the one root is n = 363; it misses NEWTON_RESIDUAL
+    # by rounding and is dropped without an error, as it lies outside the box
+    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=0.0)
+    cell = scan_phase_diagram([-14.0], [9.9], params, AS_PRINTED, SINGLE)
+    assert cell.stable_count[0, 0] == 0
+
+
 def test_vacuum_stability_depends_on_convention():
     # undriven vacuum: the verified form gives eigenvalues -gamma/2 +- i Delta
     # (stable); flipping the Delta sign on only one transverse equation makes

@@ -44,7 +44,8 @@ from .trajectories import COND_LIMIT, run_ensemble
 
 # no workflow steps in time; older configs and manifests still carry dt
 DEFAULT_DT = 1e-3
-# at N = 10 the exact scan's window takes 1.7 GB and eig of H_eff 4.7 s
+# at N = 10 the exact scan builds L_Omega in the full space before reducing
+# it, 21 million non-zeros (0.4 GB), and eig of H_eff takes 4.7 s
 MAX_SITES = 10
 # largest half-coordination whose initial coherence profile fits in float64
 MAX_COHERENCE_D = 511
@@ -338,11 +339,17 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
         manifest, "steady-state", cfg, [csv_path.name], time.monotonic() - t0,
         extra={
             "lattice": {"dimension": 1, "extents": [n_sites], "boundary": cfg["boundary"]},
-            "integrator": {"method": "expm_multiply", "t_final": cfg["t_final"],
+            "integrator": {"method": "symmetry_reduced", "t_final": cfg["t_final"],
                            "window": [float(window_times(cfg["gamma"])[0]),
                                       float(window_times(cfg["gamma"])[-1])],
                            "max_trace_drift": scan.max_trace_drift,
-                           "max_herm_drift": scan.max_herm_drift},
+                           "max_herm_drift": scan.max_herm_drift,
+                           "renormalizations": scan.renormalizations,
+                           "reduced_dim": scan.reduced_dim,
+                           "routes": {"eig": scan.eig_cells, "expm_multiply": scan.expm_cells},
+                           "cond_limit": COND_LIMIT,
+                           "max_cond": scan.max_cond,
+                           "min_gap": None if np.isnan(scan.min_gap) else scan.min_gap},
             "errors": scan.errors,
         },
     )

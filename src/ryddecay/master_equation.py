@@ -5,22 +5,33 @@ assembles the generator on row-major vec(rho) once, and propagate evaluates
 exp(tL) vec(rho0) on an equally spaced sample grid with
 scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 488 (2011)). Every snapshot is checked for trace and hermiticity drift.
-Dimensions up to 2^10 (N <= 10 sites) are supported.
-
-integrate_exact propagates one system; scan_steady_state runs the driven
-steady-state protocol over a (Delta, Omega) grid for both dissipation models
-through the same two functions. lindblad_rhs applies the generator as
+Dimensions up to 2^10 (N <= 10 sites) are supported. integrate_exact
+propagates one system this way; lindblad_rhs applies the generator as
 operator products and is kept as the independent oracle for liouvillian.
+
+scan_steady_state runs the driven steady-state protocol over a (Delta, Omega)
+grid for both dissipation models in the symmetry-invariant operator subspace
+(Buca & Prosen, NJP 14, 073007 (2012)). The Hamiltonian, both dissipators, the
+vacuum start and <n> are invariant under the lattice's site symmetries
+(rotations and reflections of a ring, the reflection of an open chain), so
+rho(t) stays in the span of the orbit sums of |i><j|. Pairing each orbit with
+its transpose makes the basis real for Hermitian rho (symmetric_basis), and
+the reduced generator B^dag L B is real (reduce_generator). A cell takes
+numpy.linalg.eig of it, L_red = R diag(lam) R^-1, and evaluates the window in
+closed form, v(t) = R diag(exp(lam t)) R^-1 v0; above EIG_MAX_DIM or
+COND_LIMIT it runs expm_multiply on L_red instead. liouvillian and propagate
+stay the full-space oracle of the scan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import LatticeSpec, neighbor_table
+from .lattice import LatticeSpec, all_coords, neighbor_table
 from .operators import (
     COLLECTIVE,
     SINGLE,
@@ -31,6 +42,8 @@ from .operators import (
     excitation_count_vector,
     jump_operators,
 )
+# the trust limit of an eigenbasis, here for L_red = R diag(lam) R^-1
+from .trajectories import COND_LIMIT
 
 WINDOW = (4.75, 5.00)
 WINDOW_POINTS = 100
@@ -38,6 +51,14 @@ WINDOW_POINTS = 100
 # which a snapshot is renormalized (and counted)
 DRIFT_LIMIT = 1e-6
 RENORM_THRESHOLD = 1e-12
+# Largest dimension of the symmetric subspace at which the scan takes the
+# eig closed form; above it expm_multiply on L_red is faster per cell. Per
+# cell on one BLAS thread (12 cells, both models), eig vs expm_multiply:
+# 3.3 vs 58 ms at 55 (N = 4 ring), 13-17 vs 68-79 ms at 136 (N = 5 ring,
+# N = 4 open chain), 193 vs 86 ms at 430 (N = 6 ring), 409 vs 94 ms at 544
+# (N = 5 open chain). eig grows as about dim^2.2 there, crossing near 290;
+# no chain has a dimension between 136 and 430.
+EIG_MAX_DIM = 256
 
 
 @dataclass
@@ -115,29 +136,24 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
 # an L too large for float64 overflows expm_multiply's norm estimates, which
 # warn before scipy raises OverflowError
 @np.errstate(over="ignore", invalid="ignore")
-def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
-    """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0.
+def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(tL) v at equally spaced, increasing times >= 0, one row per time.
 
     The first sample time is reached with one expm_multiply call, the rest
     of the grid with its interval form. That form starts at 0 because with
     start > 0 and a large ||L|| t it overflowed (scipy 1.17). Its 1-norm
     estimate draws from numpy's global RNG, so the global seed is pinned for
     the call and the caller's RNG state restored afterwards: equal inputs
-    give equal bytes. A trace or hermiticity drift above DRIFT_LIMIT raises
-    RuntimeError; snapshots whose trace drifts by more than RENORM_THRESHOLD
-    are renormalized and counted.
+    give equal bytes.
     """
     # imported here: scipy.sparse.linalg adds ~0.15 s to `import ryddecay.cli`
     from scipy.sparse.linalg import expm_multiply
 
-    times = np.asarray(times, dtype=float)
     span = times[-1] - times[0]
     if len(times) > 2 and not np.allclose(
         np.diff(times), span / (len(times) - 1), rtol=1e-9, atol=0
     ):
         raise ValueError("sample times must be equally spaced")
-    dim = rho0.shape[0]
-    v = np.array(rho0, dtype=complex).reshape(-1)
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
@@ -147,22 +163,51 @@ def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
             v = expm_multiply(L, v, start=0.0, stop=span, num=len(times), endpoint=True)
     finally:
         np.random.set_state(rng_state)
+    return v.reshape(len(times), -1)
 
-    result = IntegrationResult(times=times, states=list(v.reshape(len(times), dim, dim)))
-    for rho in result.states:
-        tr = rho.trace()
-        trace_drift = abs(tr - 1.0)
-        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-        if not (trace_drift <= DRIFT_LIMIT and herm_drift <= DRIFT_LIMIT):
-            raise RuntimeError(
-                f"propagation drift above {DRIFT_LIMIT:g}: trace {trace_drift:.2e}, "
-                f"hermiticity {herm_drift:.2e}"
-            )
-        result.max_trace_drift = max(result.max_trace_drift, trace_drift)
-        result.max_herm_drift = max(result.max_herm_drift, herm_drift)
-        if trace_drift > RENORM_THRESHOLD:
-            rho /= tr
-            result.renormalizations += 1
+
+def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray:
+    """Drift checks of a window of samples, given their traces and
+    hermiticity drifts max |rho - rho^dag|. A drift above DRIFT_LIMIT raises
+    RuntimeError; otherwise the largest drifts are folded into acc (an
+    IntegrationResult or a SteadyStateScan) and the samples whose trace
+    drifts by more than RENORM_THRESHOLD are counted there and returned as a
+    mask, for the caller to divide by their trace."""
+    trace_drifts = np.abs(traces - 1.0)
+    bad = ~((trace_drifts <= DRIFT_LIMIT) & (herm_drifts <= DRIFT_LIMIT))
+    if bad.any():
+        k = np.argmax(bad)
+        raise RuntimeError(
+            f"propagation drift above {DRIFT_LIMIT:g}: trace {trace_drifts[k]:.2e}, "
+            f"hermiticity {herm_drifts[k]:.2e}"
+        )
+    acc.max_trace_drift = max(acc.max_trace_drift, float(trace_drifts.max()))
+    acc.max_herm_drift = max(acc.max_herm_drift, float(herm_drifts.max()))
+    renorm = trace_drifts > RENORM_THRESHOLD
+    acc.renormalizations += int(renorm.sum())
+    return renorm
+
+
+# a non-finite snapshot fails the drift check without warning
+@np.errstate(invalid="ignore")
+def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
+    """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0, by
+    expm_multiply (see _expm_samples). A trace or hermiticity drift above
+    DRIFT_LIMIT raises RuntimeError; snapshots whose trace drifts by more
+    than RENORM_THRESHOLD are renormalized and counted.
+    """
+    times = np.asarray(times, dtype=float)
+    dim = rho0.shape[0]
+    v = np.array(rho0, dtype=complex).reshape(-1)
+    states = _expm_samples(L, v, times).reshape(len(times), dim, dim)
+    result = IntegrationResult(times=times, states=list(states))
+    renorm = _check_drift(
+        result,
+        np.trace(states, axis1=1, axis2=2),
+        np.array([np.max(np.abs(rho - rho.conj().T)) for rho in states]),
+    )
+    for k in np.flatnonzero(renorm):
+        states[k] /= states[k].trace()
     return result
 
 
@@ -204,14 +249,77 @@ def window_times(gamma: float = 1.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# (Delta, Omega) steady-state scan
+# (Delta, Omega) steady-state scan in the symmetry-invariant subspace
 # ---------------------------------------------------------------------------
+
+
+def _site_symmetries(lattice: LatticeSpec) -> np.ndarray:
+    """Site images under the lattice's symmetries, shape (|G|, N): per axis
+    the 2e rotations and reflections of a periodic extent e, or the
+    reflection of an open one, combined over the axes."""
+    coords = np.array(list(all_coords(lattice)))
+    per_axis = []
+    for e in lattice.extents:
+        c = np.arange(e)
+        if lattice.boundary == "periodic":
+            per_axis.append([(s + sign * c) % e for s in range(e) for sign in (1, -1)])
+        else:
+            per_axis.append([c, e - 1 - c])
+    return np.array([
+        np.ravel_multi_index(tuple(m[coords[:, a]] for a, m in enumerate(maps)), lattice.extents)
+        for maps in itertools.product(*per_axis)
+    ])
+
+
+def symmetric_basis(lattice: LatticeSpec) -> sp.csr_matrix:
+    """Orthonormal basis B (4^N rows, on row-major vec(rho)) of the
+    operators invariant under the lattice's site symmetries, real on
+    Hermitian operators.
+
+    The symmetries permute the pairs (i, j) of |i><j|; e_o is the normalised
+    sum over an orbit o. An orbit closed under transposition gives the column
+    e_o; any other orbit and its transpose t give (e_o + e_t)/sqrt(2) and
+    i (e_o - e_t)/sqrt(2). A Hermitian invariant rho has real coordinates
+    B^dag vec(rho), and B^dag L B is real for an invariant L that preserves
+    hermiticity.
+    """
+    n = lattice.site_count
+    dim = 1 << n
+    shifts = n - 1 - np.arange(n)  # site k is bit n - 1 - k
+    bits = (np.arange(dim)[:, None] >> shifts) & 1
+    rep = None
+    for images in _site_symmetries(lattice):
+        perm = bits @ (1 << shifts[images])  # site k's bit moved to site images[k]
+        pairs = (perm[:, None] * dim + perm[None, :]).ravel()
+        rep = pairs if rep is None else np.minimum(rep, pairs)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    size = np.bincount(orbit)
+    own = np.arange(len(reps))
+    partner = orbit[(reps % dim) * dim + reps // dim]  # the orbit of the transposes
+    width = np.where(partner == own, 1, 0) + np.where(partner > own, 2, 0)
+    column = (np.cumsum(width) - width)[np.minimum(own, partner)][orbit]
+    closed = (partner == own)[orbit]
+    scale = 1.0 / np.sqrt(np.where(closed, 1, 2) * size[orbit])
+    sign = np.where((partner > own)[orbit], 1j, -1j)
+    paired = np.flatnonzero(~closed)
+    rows = np.concatenate([np.arange(dim * dim), paired])
+    cols = np.concatenate([column, column[paired] + 1])
+    vals = np.concatenate([scale, sign[paired] * scale[paired]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, width.sum()))
+
+
+def reduce_generator(basis: sp.csr_matrix, L: sp.csr_matrix) -> sp.csr_matrix:
+    """The real generator B^dag L B of L in the symmetric basis B."""
+    return sp.csr_matrix((basis.conj().T @ (L @ basis)).real)
 
 
 @dataclass
 class SteadyStateScan:
     """Window-averaged excitation densities over a (Delta, Omega) grid,
-    with the largest drift that propagate saw over all cells."""
+    with the drift checks' largest drifts and renormalizations over all
+    cells, the dimension of the symmetric subspace, the cells evaluated in
+    closed form (eig) and by expm_multiply, the largest cond(R) met and the
+    smallest Liouvillian gap of the eig cells (NaN without any)."""
 
     delta_values: np.ndarray
     omega_values: np.ndarray
@@ -220,7 +328,32 @@ class SteadyStateScan:
     t_final: float
     max_trace_drift: float = 0.0
     max_herm_drift: float = 0.0
+    renormalizations: int = 0
+    reduced_dim: int = 0
+    eig_cells: int = 0
+    expm_cells: int = 0
+    max_cond: float = 0.0
+    min_gap: float = np.nan
     errors: list[str] = field(default_factory=list)
+
+
+def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, scan: SteadyStateScan):
+    """v(t) = R diag(exp(lam t)) R^-1 v0 at the window times, one column per
+    time, or None when cond(R) exceeds COND_LIMIT. Updates scan's cond and
+    gap (the least decay rate -Re lam besides the steady state's 0)."""
+    lam, vecs = np.linalg.eig(gen)
+    cond = float(np.linalg.cond(vecs))
+    scan.max_cond = max(scan.max_cond, cond)
+    if not cond <= COND_LIMIT:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(np.outer(lam, times))
+        states = vecs @ (growth * np.linalg.solve(vecs, v0)[:, None])
+    if not np.all(np.isfinite(states)):
+        # rounding in eig of a huge L_red left some Re lam >> 0
+        raise OverflowError("the reduced Liouvillian's eigenvalues lost to rounding")
+    scan.min_gap = float(np.fmin(scan.min_gap, -np.sort(lam.real)[-2]))
+    return states
 
 
 def scan_steady_state(
@@ -230,16 +363,21 @@ def scan_steady_state(
     omega_values: np.ndarray,
     models=(SINGLE, COLLECTIVE),
     t_final: float = 5.0,
-    rho0: np.ndarray | None = None,
 ) -> SteadyStateScan:
     """Driven protocol of the steady-state figure over a parameter grid.
 
-    Every (Delta, Omega, model) cell is propagated from the all-down state
-    (or rho0); <n>(t) is sampled at the 100 window times and averaged. The
-    driven Hamiltonian is linear in Delta and Omega and the dissipator
-    depends on neither, so each model's generator is assembled once as
-    L(Delta, Omega) = L0 + Delta L_Delta + Omega L_Omega. A cell whose
-    propagation fails its drift check is left NaN and named in errors.
+    Every (Delta, Omega, model) cell is propagated from the all-down state;
+    <n>(t) is sampled at the 100 window times and averaged. The driven
+    Hamiltonian is linear in Delta and Omega and the dissipator depends on
+    neither, so each model's generator is assembled and reduced to the
+    symmetric basis once, L_red(Delta, Omega) = L0 + Delta L_Delta +
+    Omega L_Omega. Up to EIG_MAX_DIM a cell takes the eig closed form, else
+    (or when cond(R) > COND_LIMIT) expm_multiply on L_red. The drift checks
+    and renormalization of propagate apply to every window: the trace is the
+    reduced trace row applied to v, and the hermiticity drift is
+    max |rho - rho^dag| of the imaginary part of v, which only the complex
+    eig route can have. A cell that fails them is left NaN and named in
+    errors.
     """
     for m in models:
         check_model(m)
@@ -252,19 +390,26 @@ def scan_steady_state(
     tw = window_times(params.gamma)
     if t_final < tw[-1] - 1e-12:
         raise ValueError("t_final must cover the averaging window")
-    if rho0 is None:
-        rho0 = vacuum_density(dim)
-    check_density_matrix(rho0)
 
     table = neighbor_table(lattice)
+    basis = symmetric_basis(lattice)
+    closed_form = basis.shape[1] <= EIG_MAX_DIM
+
+    def reduced(H, jumps=()):
+        gen = reduce_generator(basis, liouvillian(H, jumps))
+        return gen.toarray() if closed_form else gen
 
     def hamiltonian(**terms):
         return driven_hamiltonian(lattice, table, ModelParams(**terms))
 
-    l_delta = liouvillian(hamiltonian(Delta=1.0), ())
-    l_omega = liouvillian(hamiltonian(Omega=1.0), ())
+    l_delta = reduced(hamiltonian(Delta=1.0))
+    l_omega = reduced(hamiltonian(Omega=1.0))
     h_bonds = hamiltonian(V=params.V)
-    exc = excitation_count_vector(lattice)
+    # rho_ii from the coordinates: the diagonal lies in closed, real columns
+    to_diag = basis[np.arange(dim) * (dim + 1)].real
+    v0 = to_diag[0].toarray().ravel()  # B^dag vec(|0><0|)
+    trace_row = np.asarray(to_diag.sum(axis=0)).ravel()
+    obs_row = to_diag.T @ excitation_count_vector(lattice) / n
 
     scan = SteadyStateScan(
         delta_values=delta_values,
@@ -272,19 +417,29 @@ def scan_steady_state(
         n_single=np.full((len(delta_values), len(omega_values)), np.nan),
         n_collective=np.full((len(delta_values), len(omega_values)), np.nan),
         t_final=t_final,
+        reduced_dim=basis.shape[1],
     )
     for m in models:
-        l0 = liouvillian(h_bonds, jump_operators(lattice, table, params, m))
+        l0 = reduced(h_bonds, jump_operators(lattice, table, params, m))
         out = scan.n_single if m == SINGLE else scan.n_collective
         for i, delta in enumerate(delta_values):
             for j, omega in enumerate(omega_values):
+                gen = l0 + delta * l_delta + omega * l_omega
                 try:
-                    res = propagate(l0 + delta * l_delta + omega * l_omega, rho0, tw)
+                    states = _eig_window(gen, v0, tw, scan) if closed_form else None
+                    if states is None:
+                        states = _expm_samples(sp.csr_matrix(gen), v0, tw).T
+                        scan.expm_cells += 1
+                    else:
+                        scan.eig_cells += 1
+                    traces = trace_row @ states
+                    herm = (2 * np.abs(basis @ states.imag).max(axis=0)
+                            if np.iscomplexobj(states) else np.zeros(len(tw)))
+                    renorm = _check_drift(scan, traces, herm)
                 except RuntimeError as err:
                     scan.errors.append(f"model={m} Delta={delta} Omega={omega}: {err}")
                     continue
-                out[i, j] = np.mean([exc @ rho.diagonal().real for rho in res.states]) / n
-                scan.max_trace_drift = max(scan.max_trace_drift, res.max_trace_drift)
-                scan.max_herm_drift = max(scan.max_herm_drift, res.max_herm_drift)
-                del res  # free this cell's window before the next one is propagated
+                n_t = obs_row @ states
+                n_t[renorm] /= traces[renorm]
+                out[i, j] = np.mean(n_t.real)
     return scan

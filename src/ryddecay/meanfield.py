@@ -251,12 +251,20 @@ def find_fixed_points(
 ) -> list[FixedPoint]:
     """All fixed points found by Newton from a 10x10x10 seed grid over the
     physical box, sorted by n. Public as the independent oracle of
-    scan_phase_diagram: it never uses the stationarity cubic."""
+    scan_phase_diagram: it never uses the stationarity cubic.
+
+    Under ORACLE_VERIFIED the flow keeps physical states physical, so it
+    has a fixed point there (Brouwer), and ValueError is raised when no seed
+    converges to one. AS_PRINTED has no such guarantee (at
+    Delta^2 = gamma^2/4 + 2 Omega^2, V = 0, single-atom decay it has none),
+    and there the list may be empty."""
     ns = np.linspace(0.0, 1.0, 10)
     ss = np.linspace(-1.0, 1.0, 10)
     grid = np.stack(np.meshgrid(ns, ss, ss, indexing="ij"), axis=-1).reshape(-1, 3)
     fp = _solve(grid, np.ones(len(grid), bool), params, sign_convention, model, iters=60)
     found = ~np.isnan(fp.states[:, 0])
+    if sign_convention == ORACLE_VERIFIED and not found.any():
+        raise ValueError(f"no Newton seed converged to a fixed point for {params}")
     return [
         FixedPoint(MeanFieldState(*(float(v) for v in s)), bool(st), bool(ph))
         for s, st, ph in zip(fp.states[found], fp.stable[found], fp.physical[found])

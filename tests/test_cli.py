@@ -107,10 +107,17 @@ def test_steady_state_small_grid(tmp_path):
     manifest = json.loads((tmp_path / "steady_state_manifest.json").read_text())
     assert manifest["command"] == "steady-state"
     assert manifest["errors"] == []
-    assert manifest["integrator"]["window"] == [4.75, 5.0]
-    assert manifest["integrator"]["method"] == "expm_multiply"
-    assert 0.0 <= manifest["integrator"]["max_trace_drift"] < 1e-10
-    assert 0.0 <= manifest["integrator"]["max_herm_drift"] < 1e-10
+    integrator = manifest["integrator"]
+    assert integrator["window"] == [4.75, 5.0]
+    assert integrator["method"] == "symmetry_reduced"
+    assert 0.0 <= integrator["max_trace_drift"] < 1e-10
+    assert 0.0 <= integrator["max_herm_drift"] < 1e-10
+    # N = 2 open: the pairs of |i><j| under the reflection give 10 columns
+    assert integrator["reduced_dim"] == 10
+    assert integrator["routes"] == {"eig": 8, "expm_multiply": 0}
+    assert integrator["renormalizations"] == 0
+    assert 1.0 <= integrator["max_cond"] < integrator["cond_limit"] == COND_LIMIT
+    assert integrator["min_gap"] > 0.0
 
 
 def test_steady_state_weak_drive_stays_empty(tmp_path):
@@ -280,6 +287,9 @@ def test_steady_state_round_trip_bytes(tmp_path):
                "--config", str(a / "steady_state_manifest.json")])
     assert rc == 0
     assert (a / "steady_state.csv").read_bytes() == (b / "steady_state.csv").read_bytes()
+    manifests = [json.loads((d / "steady_state_manifest.json").read_text()) for d in (a, b)]
+    assert manifests[0]["integrator"] == manifests[1]["integrator"]
+    assert manifests[0]["integrator"]["routes"] == {"eig": 2, "expm_multiply": 0}
 
 
 def test_trajectories_output_and_determinism(tmp_path):

@@ -8,8 +8,10 @@ import pytest
 import scipy.sparse as sp
 
 import ryddecay
+import ryddecay.master_equation as master_equation
 from ryddecay.lattice import LatticeSpec
 from ryddecay.master_equation import (
+    EIG_MAX_DIM,
     check_density_matrix,
     excitation_density,
     integrate_exact,
@@ -17,7 +19,9 @@ from ryddecay.master_equation import (
     liouvillian,
     product_density,
     propagate,
+    reduce_generator,
     scan_steady_state,
+    symmetric_basis,
     vacuum_density,
     window_times,
 )
@@ -31,6 +35,10 @@ from ryddecay.operators import (
 LAT1 = LatticeSpec(1, (1,), "open")
 LAT3 = LatticeSpec(1, (3,), "periodic")
 LAT4 = LatticeSpec(1, (4,), "periodic")
+LAT6 = LatticeSpec(1, (6,), "periodic")
+OPEN3 = LatticeSpec(1, (3,), "open")
+OPEN4 = LatticeSpec(1, (4,), "open")
+SQUARE2 = LatticeSpec(2, (2, 2), "open")
 
 
 def up_state_density():
@@ -245,12 +253,104 @@ def test_scan_bytes_independent_of_global_rng():
 
 
 def test_cli_import_leaves_out_sparse_linalg():
+    # scipy.sparse.linalg is imported on first use, and the eig closed form
+    # takes numpy.linalg, so importing the CLI loads neither scipy solver
     src = str(Path(ryddecay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ryddecay.cli; print('scipy.sparse.linalg' in sys.modules)"],
+         "import sys, ryddecay.cli; "
+         "print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.linalg')])"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
+
+
+# Burnside counts of the pairs (i, j) under the dihedral group of a ring,
+# (4^N + 4^ceil(N/2)) / 2 under the reflection of an open chain
+@pytest.mark.parametrize("lattice, dim", [(LAT4, 55), (LAT6, 430), (OPEN3, 40), (OPEN4, 136)])
+def test_symmetric_basis_dimension_and_orthonormality(lattice, dim):
+    basis = symmetric_basis(lattice)
+    assert basis.shape == (4 ** lattice.site_count, dim)
+    gram = (basis.conj().T @ basis).toarray()
+    assert np.max(np.abs(gram - np.eye(dim))) < 1e-14
+
+
+@pytest.mark.parametrize("lattice", [LAT4, LAT6, OPEN3, OPEN4, SQUARE2])
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+def test_reduced_generator_is_real_and_exact(lattice, model):
+    # L B = B L_red holds only if L maps the symmetric subspace into itself
+    h, jumps = build_system(lattice, ModelParams(V=10.0, Omega=2.5, Delta=-6.0), model)
+    gen = liouvillian(h, jumps)
+    basis = symmetric_basis(lattice)
+    reduced = reduce_generator(basis, gen)
+    assert not np.iscomplexobj(reduced.data)
+    assert abs(gen @ basis - basis @ reduced).max() <= 1e-12
+
+
+def _full_space_window_means(lattice, deltas, omegas, model):
+    dim = 1 << lattice.site_count
+    out = np.empty((len(deltas), len(omegas)))
+    for i, delta in enumerate(deltas):
+        for j, omega in enumerate(omegas):
+            h, jumps = build_system(
+                lattice, ModelParams(V=10.0, Omega=omega, Delta=delta), model)
+            res = propagate(liouvillian(h, jumps), vacuum_density(dim), window_times(1.0))
+            out[i, j] = np.mean([excitation_density(r, lattice) for r in res.states])
+    return out
+
+
+@pytest.mark.parametrize("lattice, deltas, omegas", [
+    (LAT4, [-30.0, -6.0, 3.0], [2.5, 10.0]),
+    (OPEN3, [-30.0, 0.0], [0.5, 10.0]),
+    (LAT6, [-30.0], [4.0]),
+])
+def test_reduced_scan_matches_full_space_propagate(lattice, deltas, omegas):
+    scan = scan_steady_state(lattice, ModelParams(V=10.0), np.array(deltas), np.array(omegas))
+    cells = 2 * len(deltas) * len(omegas)
+    eig = scan.reduced_dim <= EIG_MAX_DIM
+    assert (scan.eig_cells, scan.expm_cells) == ((cells, 0) if eig else (0, cells))
+    assert scan.errors == [] and scan.renormalizations == 0
+    for model, grid in ((SINGLE, scan.n_single), (COLLECTIVE, scan.n_collective)):
+        full = _full_space_window_means(lattice, deltas, omegas, model)
+        assert np.max(np.abs(grid - full)) <= 1e-12
+    if eig:
+        assert 1.0 <= scan.max_cond < master_equation.COND_LIMIT
+        assert 0.0 < scan.min_gap < 1.0
+        # the complex closed form leaves rounding in the imaginary part
+        assert 0.0 < scan.max_herm_drift < 1e-12
+    else:
+        assert scan.max_cond == 0.0 and np.isnan(scan.min_gap)
+        assert scan.max_herm_drift == 0.0
+
+
+def test_reduced_scan_renormalizes_and_counts(monkeypatch):
+    deltas, omegas = np.array([-30.0, -6.0]), np.array([2.5])
+    plain = scan_steady_state(LAT4, ModelParams(V=10.0), deltas, omegas)
+    monkeypatch.setattr(master_equation, "RENORM_THRESHOLD", 0.0)
+    renormed = scan_steady_state(LAT4, ModelParams(V=10.0), deltas, omegas)
+    assert plain.renormalizations == 0
+    assert 0 < renormed.renormalizations <= 4 * len(window_times())
+    assert np.max(np.abs(renormed.n_single - plain.n_single)) <= 1e-12
+    assert np.max(np.abs(renormed.n_collective - plain.n_collective)) <= 1e-12
+
+
+def test_reduced_scan_falls_back_above_cond_limit(monkeypatch):
+    deltas, omegas = np.array([-30.0, -6.0]), np.array([2.5, 10.0])
+    closed = scan_steady_state(LAT4, ModelParams(V=10.0), deltas, omegas)
+    monkeypatch.setattr(master_equation, "COND_LIMIT", 0.0)
+    forced = scan_steady_state(LAT4, ModelParams(V=10.0), deltas, omegas)
+    assert (closed.eig_cells, closed.expm_cells) == (8, 0)
+    assert (forced.eig_cells, forced.expm_cells) == (0, 8)
+    assert forced.max_cond == closed.max_cond and np.isnan(forced.min_gap)
+    assert forced.max_herm_drift == 0.0  # real arithmetic keeps rho Hermitian
+    assert np.max(np.abs(forced.n_single - closed.n_single)) <= 1e-12
+    assert np.max(np.abs(forced.n_collective - closed.n_collective)) <= 1e-12
+
+
+def test_reduced_scan_names_cells_that_fail_the_drift_check():
+    # at V = 1e14 rounding in eig (eps V ~ 2e-2) shows as trace drift
+    scan = scan_steady_state(OPEN3, ModelParams(V=1e14), np.array([-6.0]), np.array([2.5]))
+    assert len(scan.errors) == 2 and "propagation drift" in scan.errors[0]
+    assert np.isnan(scan.n_single[0, 0]) and np.isnan(scan.n_collective[0, 0])

@@ -176,6 +176,13 @@ def test_residual_overflow_rejected():
         find_fixed_points(MeanFieldParams(Delta=0.0, Omega=1e308, gamma=1.0, d=1, V=0.0))
 
 
+def test_oracle_without_a_converged_seed_raises():
+    # at this scale no seed reaches the absolute Newton residual; an empty
+    # list would read as "no fixed point", which the verified flow always has
+    with pytest.raises(ValueError, match="no Newton seed converged"):
+        find_fixed_points(MeanFieldParams(Delta=1e200, Omega=1e200, gamma=1.0, d=1, V=1e200))
+
+
 def test_unphysical_root_may_miss_residual():
     # p1 nearly cancels, so the one root is n = 363; it misses NEWTON_RESIDUAL
     # by rounding and is dropped without an error, as it lies outside the box

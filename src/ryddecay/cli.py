@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .coherence import exact_mode_series, initial_coherence, mode_series
 from .lattice import build_lattice
-from .master_equation import scan_steady_state, window_times
+from .master_equation import PropagationStats, scan_steady_state, window_times
 from .meanfield import (
     MeanFieldParams,
     SIGN_CONVENTIONS,
@@ -239,6 +239,16 @@ def _models(cfg) -> tuple[str, ...]:
     return (m,)
 
 
+def _propagation_block(stats: PropagationStats) -> dict:
+    """Manifest fields of the exact layer's propagation diagnostics."""
+    return {"reduced_dim": stats.reduced_dim,
+            "max_cond": stats.max_cond,
+            "min_gap": None if np.isnan(stats.min_gap) else stats.min_gap,
+            "max_trace_drift": stats.max_trace_drift,
+            "max_herm_drift": stats.max_herm_drift,
+            "renormalizations": stats.renormalizations}
+
+
 def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     d = int(cfg["d"])
@@ -265,6 +275,7 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
         columns += [f"abs_X_{m}_xi{xi}" for xi in range(n_modes)]
 
     dev: dict[str, np.ndarray] = {}
+    cross_check: dict[str, dict] = {}
     if cfg["verify_N"] is not None:
         n_sites = int(cfg["verify_N"])
         if d != 1:
@@ -272,8 +283,11 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
         lat = build_lattice(1, (n_sites,), "periodic")
         mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
         for m in cfg["models"]:
-            exact = exact_mode_series(lat, mp, m, t)
+            stats = PropagationStats()
+            exact = exact_mode_series(lat, mp, m, t, stats)
             dev[m] = np.max(np.abs(exact - per_model[m]), axis=0)
+            cross_check[m] = {"route": "eig" if stats.eig_cells else "expm",
+                              **_propagation_block(stats)}
         columns += [f"dev_{m}" for m in cfg["models"]]
 
     rows = []
@@ -295,7 +309,8 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
     write_csv(csv_path, {"command": "coherence", "d": d, "V": cfg["V"],
                          "gamma": cfg["gamma"], "omega_a": cfg["omega_a"]}, columns, rows)
     manifest = out_dir / "coherence_manifest.json"
-    write_manifest(manifest, "coherence", cfg, [csv_path.name], time.monotonic() - t0)
+    write_manifest(manifest, "coherence", cfg, [csv_path.name], time.monotonic() - t0,
+                   extra={"cross_check": cross_check})
     return [csv_path, manifest]
 
 
@@ -342,14 +357,9 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
             "integrator": {"method": "symmetry_reduced", "t_final": cfg["t_final"],
                            "window": [float(window_times(cfg["gamma"])[0]),
                                       float(window_times(cfg["gamma"])[-1])],
-                           "max_trace_drift": scan.max_trace_drift,
-                           "max_herm_drift": scan.max_herm_drift,
-                           "renormalizations": scan.renormalizations,
-                           "reduced_dim": scan.reduced_dim,
                            "routes": {"eig": scan.eig_cells, "expm_multiply": scan.expm_cells},
                            "cond_limit": COND_LIMIT,
-                           "max_cond": scan.max_cond,
-                           "min_gap": None if np.isnan(scan.min_gap) else scan.min_gap},
+                           **_propagation_block(scan)},
             "errors": scan.errors,
         },
     )

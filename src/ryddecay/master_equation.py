@@ -9,23 +9,26 @@ Dimensions up to 2^10 (N <= 10 sites) are supported. integrate_exact
 propagates one system this way; lindblad_rhs applies the generator as
 operator products and is kept as the independent oracle for liouvillian.
 
-scan_steady_state runs the driven steady-state protocol over a (Delta, Omega)
-grid for both dissipation models in the symmetry-invariant operator subspace
-(Buca & Prosen, NJP 14, 073007 (2012)). The Hamiltonian, both dissipators, the
-vacuum start and <n> are invariant under the lattice's site symmetries
-(rotations and reflections of a ring, the reflection of an open chain), so
-rho(t) stays in the span of the orbit sums of |i><j|. Pairing each orbit with
-its transpose makes the basis real for Hermitian rho (symmetric_basis), and
-the reduced generator B^dag L B is real (reduce_generator). A cell takes
-numpy.linalg.eig of it, L_red = R diag(lam) R^-1, and evaluates the window in
-closed form, v(t) = R diag(exp(lam t)) R^-1 v0; above EIG_MAX_DIM or
-COND_LIMIT it runs expm_multiply on L_red instead. liouvillian and propagate
-stay the full-space oracle of the scan.
+The workflows propagate in the symmetry-invariant operator subspace instead
+(Buca & Prosen, NJP 14, 073007 (2012)): the steady-state scan
+(scan_steady_state) and the coherence cross-check
+(coherence.exact_mode_series). Their Hamiltonians, dissipators, start states
+and observables are invariant under the lattice's site symmetries (rotations
+and reflections of a ring, the reflection of an open chain), so rho(t) stays
+in the span of the orbit sums of |i><j|. Pairing each orbit with its
+transpose makes the basis real for Hermitian rho (symmetric_basis), and the
+reduced generator B^dag L B is real (reduce_generator). _propagate_reduced is
+the one propagation core of both: it takes numpy.linalg.eig of L_red,
+L_red = R diag(lam) R^-1, and evaluates v(t) = R diag(exp(lam t)) R^-1 v0 in
+closed form; above EIG_MAX_DIM or COND_LIMIT it runs expm_multiply on L_red
+instead. liouvillian, propagate and integrate_exact stay the full-space
+oracle of both.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +54,20 @@ WINDOW_POINTS = 100
 # which a snapshot is renormalized (and counted)
 DRIFT_LIMIT = 1e-6
 RENORM_THRESHOLD = 1e-12
-# Largest dimension of the symmetric subspace at which the scan takes the
-# eig closed form; above it expm_multiply on L_red is faster per cell. Per
-# cell on one BLAS thread (12 cells, both models), eig vs expm_multiply:
+# Largest dimension of the symmetric subspace at which _propagate_reduced
+# takes the eig closed form; above it expm_multiply on L_red is faster. The
+# switch is by dimension alone, so the steady-state scan and the coherence
+# cross-check take the same route on the same lattice. Per steady-state cell
+# on one BLAS thread (12 cells, both models), eig vs expm_multiply:
 # 3.3 vs 58 ms at 55 (N = 4 ring), 13-17 vs 68-79 ms at 136 (N = 5 ring,
 # N = 4 open chain), 193 vs 86 ms at 430 (N = 6 ring), 409 vs 94 ms at 544
 # (N = 5 open chain). eig grows as about dim^2.2 there, crossing near 290;
-# no chain has a dimension between 136 and 430.
+# no chain has a dimension between 136 and 430. The coherence cross-check
+# per model (one BLAS thread, omega_a = 0.37, V = 10, median of 5), against
+# the full-space integrate_exact it replaced: 20-24 vs 149-169 ms on the
+# N = 4 ring (eig, 201 times to t = 2); 38-43 vs 66-79 ms on the N = 6 ring
+# (expm_multiply, 26 times to t = 0.25), 156-166 vs 403-464 ms for 201
+# times to t = 2. Most of what is left at N = 4 is sparse operator assembly.
 EIG_MAX_DIM = 256
 
 
@@ -133,6 +143,12 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
     return gen.tocsr()
 
 
+def _equally_spaced(times: np.ndarray) -> bool:
+    span = times[-1] - times[0]
+    return len(times) <= 2 or np.allclose(
+        np.diff(times), span / (len(times) - 1), rtol=1e-9, atol=0)
+
+
 # an L too large for float64 overflows expm_multiply's norm estimates, which
 # warn before scipy raises OverflowError
 @np.errstate(over="ignore", invalid="ignore")
@@ -149,11 +165,9 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     # imported here: scipy.sparse.linalg adds ~0.15 s to `import ryddecay.cli`
     from scipy.sparse.linalg import expm_multiply
 
-    span = times[-1] - times[0]
-    if len(times) > 2 and not np.allclose(
-        np.diff(times), span / (len(times) - 1), rtol=1e-9, atol=0
-    ):
+    if not _equally_spaced(times):
         raise ValueError("sample times must be equally spaced")
+    span = times[-1] - times[0]
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
@@ -170,7 +184,7 @@ def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray
     """Drift checks of a window of samples, given their traces and
     hermiticity drifts max |rho - rho^dag|. A drift above DRIFT_LIMIT raises
     RuntimeError; otherwise the largest drifts are folded into acc (an
-    IntegrationResult or a SteadyStateScan) and the samples whose trace
+    IntegrationResult or a PropagationStats) and the samples whose trace
     drifts by more than RENORM_THRESHOLD are counted there and returned as a
     mask, for the caller to divide by their trace."""
     trace_drifts = np.abs(traces - 1.0)
@@ -284,6 +298,8 @@ def symmetric_basis(lattice: LatticeSpec) -> sp.csr_matrix:
     hermiticity.
     """
     n = lattice.site_count
+    if n > 10:
+        raise ValueError("exact propagation supports dim <= 1024 (N <= 10)")
     dim = 1 << n
     shifts = n - 1 - np.arange(n)  # site k is bit n - 1 - k
     bits = (np.arange(dim)[:, None] >> shifts) & 1
@@ -313,37 +329,51 @@ def reduce_generator(basis: sp.csr_matrix, L: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((basis.conj().T @ (L @ basis)).real)
 
 
+def _trace_row(basis: sp.csr_matrix) -> np.ndarray:
+    """The row of B that gives tr(rho) = vec(1) . B v from the coordinates v."""
+    return (basis.T @ np.eye(math.isqrt(basis.shape[0])).ravel()).real
+
+
+@dataclass(kw_only=True)
+class PropagationStats:
+    """Diagnostics of propagations in the symmetric subspace, accumulated by
+    _propagate_reduced over the runs (cells) of one caller: the subspace
+    dimension, the runs evaluated in closed form (eig) and by
+    expm_multiply, the largest cond(R) met, the smallest Liouvillian gap of
+    the eig runs (NaN without any), and the drift checks' largest drifts
+    and renormalizations."""
+
+    reduced_dim: int = 0
+    eig_cells: int = 0
+    expm_cells: int = 0
+    max_cond: float = 0.0
+    min_gap: float = np.nan
+    max_trace_drift: float = 0.0
+    max_herm_drift: float = 0.0
+    renormalizations: int = 0
+
+
 @dataclass
-class SteadyStateScan:
+class SteadyStateScan(PropagationStats):
     """Window-averaged excitation densities over a (Delta, Omega) grid,
-    with the drift checks' largest drifts and renormalizations over all
-    cells, the dimension of the symmetric subspace, the cells evaluated in
-    closed form (eig) and by expm_multiply, the largest cond(R) met and the
-    smallest Liouvillian gap of the eig cells (NaN without any)."""
+    with the propagation diagnostics over all cells and the cells that
+    failed the drift checks."""
 
     delta_values: np.ndarray
     omega_values: np.ndarray
     n_single: np.ndarray      # shape (len(delta), len(omega))
     n_collective: np.ndarray
     t_final: float
-    max_trace_drift: float = 0.0
-    max_herm_drift: float = 0.0
-    renormalizations: int = 0
-    reduced_dim: int = 0
-    eig_cells: int = 0
-    expm_cells: int = 0
-    max_cond: float = 0.0
-    min_gap: float = np.nan
     errors: list[str] = field(default_factory=list)
 
 
-def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, scan: SteadyStateScan):
-    """v(t) = R diag(exp(lam t)) R^-1 v0 at the window times, one column per
-    time, or None when cond(R) exceeds COND_LIMIT. Updates scan's cond and
-    gap (the least decay rate -Re lam besides the steady state's 0)."""
+def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, stats: PropagationStats):
+    """v(t) = R diag(exp(lam t)) R^-1 v0 at the times, one column per time,
+    or None when cond(R) exceeds COND_LIMIT. Updates stats' cond and gap
+    (the least decay rate -Re lam besides the steady state's 0)."""
     lam, vecs = np.linalg.eig(gen)
     cond = float(np.linalg.cond(vecs))
-    scan.max_cond = max(scan.max_cond, cond)
+    stats.max_cond = max(stats.max_cond, cond)
     if not cond <= COND_LIMIT:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,7 +382,44 @@ def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, scan: Steady
     if not np.all(np.isfinite(states)):
         # rounding in eig of a huge L_red left some Re lam >> 0
         raise OverflowError("the reduced Liouvillian's eigenvalues lost to rounding")
-    scan.min_gap = float(np.fmin(scan.min_gap, -np.sort(lam.real)[-2]))
+    stats.min_gap = float(np.fmin(stats.min_gap, -np.sort(lam.real)[-2]))
+    return states
+
+
+def _propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, basis: sp.csr_matrix,
+                       trace_row: np.ndarray, stats: PropagationStats) -> np.ndarray:
+    """v(t) = exp(t L_red) v0 in the symmetric basis, one column per time.
+
+    gen is L_red (dense or sparse). Up to EIG_MAX_DIM it takes the eig
+    closed form, else (or when cond(R) > COND_LIMIT) expm_multiply. The
+    drift checks and renormalization of propagate apply: the trace is
+    trace_row applied to v, and the hermiticity drift is
+    max |rho - rho^dag| = 2 max |B Im v|, which only the complex eig route
+    can have. times must be a non-empty, strictly increasing and equally
+    spaced grid from t >= 0 (ValueError); a drift above DRIFT_LIMIT raises
+    RuntimeError. The dimension, route, cond, gap and drifts are recorded in
+    stats.
+    """
+    stats.reduced_dim = gen.shape[0]
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("sample times must be a non-empty 1-D grid")
+    if times[0] < 0:
+        raise ValueError(f"sample times must be >= 0, got {times[0]:g}")
+    if np.any(np.diff(times) <= 0) or not _equally_spaced(times):
+        raise ValueError("sample times must be strictly increasing and equally spaced")
+    states = None
+    if gen.shape[0] <= EIG_MAX_DIM:
+        states = _eig_window(gen.toarray() if sp.issparse(gen) else gen, v0, times, stats)
+    if states is None:
+        states = _expm_samples(sp.csr_matrix(gen), v0, times).T
+        stats.expm_cells += 1
+    else:
+        stats.eig_cells += 1
+    traces = trace_row @ states
+    herm = (2 * np.abs(basis @ states.imag).max(axis=0)
+            if np.iscomplexobj(states) else np.zeros(len(times)))
+    renorm = _check_drift(stats, traces, herm)
+    states[:, renorm] /= traces[renorm]
     return states
 
 
@@ -371,28 +438,21 @@ def scan_steady_state(
     Hamiltonian is linear in Delta and Omega and the dissipator depends on
     neither, so each model's generator is assembled and reduced to the
     symmetric basis once, L_red(Delta, Omega) = L0 + Delta L_Delta +
-    Omega L_Omega. Up to EIG_MAX_DIM a cell takes the eig closed form, else
-    (or when cond(R) > COND_LIMIT) expm_multiply on L_red. The drift checks
-    and renormalization of propagate apply to every window: the trace is the
-    reduced trace row applied to v, and the hermiticity drift is
-    max |rho - rho^dag| of the imaginary part of v, which only the complex
-    eig route can have. A cell that fails them is left NaN and named in
-    errors.
+    Omega L_Omega, and each cell's window is propagated by
+    _propagate_reduced, whose drift checks apply to every window. A cell
+    that fails them is left NaN and named in errors.
     """
     for m in models:
         check_model(m)
     delta_values = np.asarray(delta_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
-    n = lattice.site_count
-    dim = 1 << n
-    if dim > 1024:
-        raise ValueError("exact scan supports dim <= 1024 (N <= 10)")
     tw = window_times(params.gamma)
     if t_final < tw[-1] - 1e-12:
         raise ValueError("t_final must cover the averaging window")
 
     table = neighbor_table(lattice)
     basis = symmetric_basis(lattice)
+    # dense L_red makes the per-cell sums cheap on the eig route
     closed_form = basis.shape[1] <= EIG_MAX_DIM
 
     def reduced(H, jumps=()):
@@ -406,10 +466,11 @@ def scan_steady_state(
     l_omega = reduced(hamiltonian(Omega=1.0))
     h_bonds = hamiltonian(V=params.V)
     # rho_ii from the coordinates: the diagonal lies in closed, real columns
+    dim = 1 << lattice.site_count
     to_diag = basis[np.arange(dim) * (dim + 1)].real
     v0 = to_diag[0].toarray().ravel()  # B^dag vec(|0><0|)
-    trace_row = np.asarray(to_diag.sum(axis=0)).ravel()
-    obs_row = to_diag.T @ excitation_count_vector(lattice) / n
+    trace_row = _trace_row(basis)
+    obs_row = to_diag.T @ excitation_count_vector(lattice) / lattice.site_count
 
     scan = SteadyStateScan(
         delta_values=delta_values,
@@ -417,29 +478,17 @@ def scan_steady_state(
         n_single=np.full((len(delta_values), len(omega_values)), np.nan),
         n_collective=np.full((len(delta_values), len(omega_values)), np.nan),
         t_final=t_final,
-        reduced_dim=basis.shape[1],
     )
     for m in models:
         l0 = reduced(h_bonds, jump_operators(lattice, table, params, m))
         out = scan.n_single if m == SINGLE else scan.n_collective
         for i, delta in enumerate(delta_values):
             for j, omega in enumerate(omega_values):
-                gen = l0 + delta * l_delta + omega * l_omega
                 try:
-                    states = _eig_window(gen, v0, tw, scan) if closed_form else None
-                    if states is None:
-                        states = _expm_samples(sp.csr_matrix(gen), v0, tw).T
-                        scan.expm_cells += 1
-                    else:
-                        scan.eig_cells += 1
-                    traces = trace_row @ states
-                    herm = (2 * np.abs(basis @ states.imag).max(axis=0)
-                            if np.iscomplexobj(states) else np.zeros(len(tw)))
-                    renorm = _check_drift(scan, traces, herm)
+                    states = _propagate_reduced(
+                        l0 + delta * l_delta + omega * l_omega, v0, tw, basis, trace_row, scan)
                 except RuntimeError as err:
                     scan.errors.append(f"model={m} Delta={delta} Omega={omega}: {err}")
                     continue
-                n_t = obs_row @ states
-                n_t[renorm] /= traces[renorm]
-                out[i, j] = np.mean(n_t.real)
+                out[i, j] = np.mean((obs_row @ states).real)
     return scan

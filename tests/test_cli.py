@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ryddecay import trajectories
+from ryddecay import coherence, trajectories
 from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, POSITIVE_KEYS, _contrast, _fmt, main
 from ryddecay.trajectories import COND_LIMIT
 
@@ -84,6 +84,49 @@ def test_coherence_cross_check_columns(tmp_path):
     assert "dev_single" in columns and "dev_collective" in columns
     for name in ("dev_single", "dev_collective"):
         assert max(col(columns, rows, name)) < 1e-6
+    manifest = json.loads((tmp_path / "coherence_manifest.json").read_text())
+    cross_check = manifest["cross_check"]
+    assert set(cross_check) == {"single", "collective"}
+    for block in cross_check.values():
+        assert set(block) == {"route", "reduced_dim", "max_cond", "min_gap", "max_trace_drift",
+                              "max_herm_drift", "renormalizations"}
+        # N = 3 ring: 20 invariant operator coordinates, closed form
+        assert block["route"] == "eig" and block["reduced_dim"] == 20
+        assert 1.0 <= block["max_cond"] < COND_LIMIT and block["min_gap"] > 0.0
+        assert 0.0 <= block["max_trace_drift"] < 1e-10
+        assert 0.0 <= block["max_herm_drift"] < 1e-10
+        assert block["renormalizations"] == 0
+
+
+def test_coherence_without_cross_check_has_empty_block(tmp_path):
+    run(tmp_path, "coherence", {"t_max": 1.0, "n_times": 3})
+    manifest = json.loads((tmp_path / "coherence_manifest.json").read_text())
+    assert manifest["cross_check"] == {}
+
+
+def test_coherence_round_trip_bytes(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.mkdir(); b.mkdir()
+    run(a, "coherence", {"V": 4.0, "omega_a": 0.37, "t_max": 1.0, "n_times": 11,
+                         "verify_N": 4})
+    rc = main(["coherence", "--out", str(b),
+               "--config", str(a / "coherence_manifest.json")])
+    assert rc == 0
+    assert (a / "coherence.csv").read_bytes() == (b / "coherence.csv").read_bytes()
+    manifests = [json.loads((d / "coherence_manifest.json").read_text()) for d in (a, b)]
+    assert manifests[0]["cross_check"] == manifests[1]["cross_check"]
+
+
+def test_coherence_cross_check_is_not_cached(tmp_path, monkeypatch):
+    # every coherence call builds its own basis and generator per model
+    calls = []
+    real = coherence.symmetric_basis
+    monkeypatch.setattr(coherence, "symmetric_basis", lambda lat: calls.append(lat) or real(lat))
+    cfg = {"V": 4.0, "t_max": 1.0, "n_times": 3, "verify_N": 3}
+    run(tmp_path, "coherence", cfg)
+    run(tmp_path, "coherence", cfg)
+    assert len(calls) == 4
 
 
 def test_coherence_rejects_unknown_key(tmp_path, capsys):

@@ -7,13 +7,23 @@ from scipy.linalg import expm
 from ryddecay.coherence import (
     CoherenceState,
     evolve,
+    exact_mode_series,
     initial_coherence,
     mode_series,
     short_time_coefficients,
     verify_against_master_equation,
 )
-from ryddecay.lattice import LatticeSpec
-from ryddecay.operators import COLLECTIVE, SINGLE, ModelParams
+from ryddecay.lattice import LatticeSpec, neighbor_table
+from ryddecay.master_equation import PropagationStats, integrate_exact, product_density
+from ryddecay.operators import (
+    COLLECTIVE,
+    SINGLE,
+    ModelParams,
+    atomic_hamiltonian,
+    jump_operators,
+    neighborhood_projector,
+    site_operator,
+)
 
 
 def single_sum_oracle(d, omega_a, V, gamma, t):
@@ -248,3 +258,62 @@ def test_cross_check_rejects_driven():
         verify_against_master_equation(
             lat, ModelParams(V=4.0, Omega=1.0), COLLECTIVE, np.array([0.0, 0.5])
         )
+
+
+def full_space_mode_series(lattice, params, model, t_grid):
+    """The cross-check in the full 4^N-dimensional space: integrate_exact
+    from the half-inverted product state, and the dense mode operators
+    (1/N) sum_k P_k^xi sigma_k^- contracted with every snapshot."""
+    table = neighbor_table(lattice)
+    n = lattice.site_count
+    rho0 = product_density(np.full((2, 2), 0.5), n)
+    h = atomic_hamiltonian(lattice, table, params)
+    jumps = jump_operators(lattice, table, params, model)
+    res = integrate_exact(rho0, h, jumps, float(t_grid[-1]), sample_times=t_grid)
+    mode_ops = np.stack([
+        sum(neighborhood_projector(lattice, table, k, xi)
+            @ site_operator(lattice, k, "sigma_minus") for k in range(n)).toarray()
+        for xi in range(3)
+    ]) / n
+    return np.einsum("xij,tji->xt", mode_ops, np.asarray(res.states))
+
+
+@pytest.mark.parametrize("n_sites, t_max, route", [(3, 2.0, "eig"), (4, 2.0, "eig"),
+                                                   (6, 0.5, "expm")])
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+def test_reduced_cross_check_matches_full_space(n_sites, t_max, route, model):
+    lat = LatticeSpec(1, (n_sites,), "periodic")
+    mp = ModelParams(omega_a=0.37, V=10.0)
+    ts = np.linspace(0.0, t_max, 21)
+    stats = PropagationStats()
+    reduced = exact_mode_series(lat, mp, model, ts, stats)
+    assert reduced.shape == (3, len(ts))
+    assert np.max(np.abs(reduced - full_space_mode_series(lat, mp, model, ts))) <= 1e-12
+    assert (stats.eig_cells, stats.expm_cells) == ((1, 0) if route == "eig" else (0, 1))
+    assert stats.reduced_dim == {3: 20, 4: 55, 6: 430}[n_sites]
+    assert stats.renormalizations == 0 and stats.max_trace_drift < 1e-12
+    if route == "eig":
+        assert 1.0 <= stats.max_cond < 1e3 and stats.min_gap > 0.0
+    else:
+        assert stats.max_cond == 0.0 and np.isnan(stats.min_gap)
+
+
+@pytest.mark.parametrize("ts, message", [
+    ([1.0, 0.5, 0.0], "strictly increasing"),
+    ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+    ([0.0, 0.1, 0.5], "equally spaced"),
+    ([-0.5, 0.0, 0.5], ">= 0"),
+    ([], "non-empty"),
+])
+def test_cross_check_rejects_bad_time_grid(ts, message):
+    # a reversed or duplicated grid would come back sorted, misaligned with
+    # mode_series(ts), if the cross-check reordered it
+    lat = LatticeSpec(1, (3,), "periodic")
+    with pytest.raises(ValueError, match=message):
+        verify_against_master_equation(lat, ModelParams(V=4.0), COLLECTIVE, np.array(ts))
+
+
+def test_cross_check_rejects_more_than_ten_sites():
+    lat = LatticeSpec(1, (11,), "periodic")
+    with pytest.raises(ValueError, match="N <= 10"):
+        exact_mode_series(lat, ModelParams(V=4.0), COLLECTIVE, np.array([0.0, 0.5]))

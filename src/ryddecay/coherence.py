@@ -17,9 +17,11 @@ lattice is involved except in the exact master-equation cross-check.
 
 The cross-check (exact_mode_series) propagates the Lindblad equation of a
 ring in the operator subspace invariant under its rotations and reflections
-(master_equation.symmetric_basis): the half-inverted product state, the
+(master_equation.symmetry_orbits): the half-inverted product state, the
 undriven Hamiltonian, both dissipators and the site-averaged mode operators
-are all invariant. It shares the steady-state scan's propagation core,
+are all invariant. Its generator, start state and mode rows are assembled
+from the orbit representatives, so no 4^N-dimensional object is built, and
+it shares the steady-state scan's propagation core,
 master_equation._propagate_reduced; the full-space integrate_exact is its
 oracle in the tests.
 """
@@ -33,24 +35,14 @@ import numpy as np
 
 from .lattice import LatticeSpec, half_coordination, neighbor_table
 from .master_equation import (
+    Orbits,
     PropagationStats,
+    _excited_neighbours,
     _propagate_reduced,
-    _trace_row,
-    liouvillian,
-    product_density,
-    reduce_generator,
-    symmetric_basis,
+    reduced_liouvillian,
+    symmetry_orbits,
 )
-from .operators import (
-    COLLECTIVE,
-    SINGLE,
-    ModelParams,
-    atomic_hamiltonian,
-    check_model,
-    jump_operators,
-    neighborhood_projector,
-    site_operator,
-)
+from .operators import COLLECTIVE, SINGLE, ModelParams, check_model
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,8 @@ def exact_mode_series(
     with the requested dissipator and returns
     X_xi(t) = (1/N) sum_k <P_k^xi sigma_k^->, shape (2d+1, len(t_grid)).
     rho(t) = B v(t) is propagated in the symmetric basis B, and each mode is
-    one complex row vec(op_xi^T) B applied to v(t). t_grid must be a
+    one complex row vec(op_xi^T) B applied to v(t), assembled from the orbit
+    representatives (_mode_rows). t_grid must be a
     strictly increasing, equally spaced grid from t >= 0 (ValueError
     otherwise). The route, cond(R), gap and drifts of the propagation are
     recorded in stats when given.
@@ -157,26 +150,27 @@ def exact_mode_series(
     if params.Omega != 0.0:
         raise ValueError("coherence cross-check requires Omega = 0")
     d = half_coordination(lattice)
-    table = neighbor_table(lattice)
-    n = lattice.site_count
-    basis = symmetric_basis(lattice)
-
-    h = atomic_hamiltonian(lattice, table, params)
-    jumps = jump_operators(lattice, table, params, model)
-    v0 = (basis.conj().T @ product_density(np.full((2, 2), 0.5), n).ravel()).real
+    orbits = symmetry_orbits(lattice)
+    l0, l_delta, _ = reduced_liouvillian(orbits, lattice, params, model)
+    # the half-inverted product state has every entry 2^-N
+    v0 = orbits.coords(np.full(orbits.dim, 0.5 ** lattice.site_count))
     states = _propagate_reduced(
-        reduce_generator(basis, liouvillian(h, jumps)), v0,
-        np.asarray(t_grid, dtype=float), basis, _trace_row(basis),
+        l0 + params.omega_a * l_delta, v0, np.asarray(t_grid, dtype=float), orbits,
         PropagationStats() if stats is None else stats)
+    return _mode_rows(orbits, lattice, d) @ states
 
-    # X_xi(t) = tr(op_xi rho(t)) = vec(op_xi^T) . B v(t), with the mode
-    # operators op_xi = (1/N) sum_k P_k^xi sigma_k^-
-    vec_ops = np.stack([
-        sum(neighborhood_projector(lattice, table, k, xi)
-            @ site_operator(lattice, k, "sigma_minus") for k in range(n)).T.toarray().ravel()
-        for xi in range(2 * d + 1)
-    ]) / n
-    return (basis.T @ vec_ops.T).T @ states
+
+def _mode_rows(orbits: Orbits, lattice: LatticeSpec, d: int) -> np.ndarray:
+    """The rows r_xi with X_xi(t) = r_xi . v(t), shape (2d+1, dim), of the
+    mode operators op_xi = (1/N) sum_k P_k^xi sigma_k^-. They are invariant,
+    and op_xi[j, i] = 1/N where i is j with one more site k excited, k
+    having xi excited neighbours in j."""
+    bits_i, bits_j = orbits.pair_bits()
+    raised = bits_i - bits_j
+    one_up = (raised >= 0).all(axis=1) & (raised.sum(axis=1) == 1)
+    site = raised.argmax(axis=1)
+    xi = _excited_neighbours(bits_j, neighbor_table(lattice))[np.arange(orbits.dim), site]
+    return np.stack([orbits.row(one_up & (xi == x)) for x in range(2 * d + 1)]) / lattice.site_count
 
 
 def verify_against_master_equation(

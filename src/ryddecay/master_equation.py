@@ -16,19 +16,21 @@ The workflows propagate in the symmetry-invariant operator subspace instead
 and observables are invariant under the lattice's site symmetries (rotations
 and reflections of a ring, the reflection of an open chain), so rho(t) stays
 in the span of the orbit sums of |i><j|. Pairing each orbit with its
-transpose makes the basis real for Hermitian rho (symmetric_basis), and the
-reduced generator B^dag L B is real (reduce_generator). _propagate_reduced is
-the one propagation core of both: it takes numpy.linalg.eig of L_red,
-L_red = R diag(lam) R^-1, and evaluates v(t) = R diag(exp(lam t)) R^-1 v0 in
-closed form; above EIG_MAX_DIM or COND_LIMIT it runs expm_multiply on L_red
-instead. liouvillian, propagate and integrate_exact stay the full-space
-oracle of both.
+transpose makes the basis real for Hermitian rho (Orbits). The reduced
+generator is assembled directly, one row (i, j) per orbit representative
+(reduced_liouvillian), as are the start states, the trace row and the
+observable rows: neither workflow builds a 4^N-row or 4^N x 4^N object.
+_propagate_reduced is the one propagation core of both: it takes
+numpy.linalg.eig of L_red, L_red = R diag(lam) R^-1, and evaluates
+v(t) = R diag(exp(lam t)) R^-1 v0 in closed form; above EIG_MAX_DIM or
+COND_LIMIT it runs expm_multiply on L_red instead. liouvillian, propagate
+and integrate_exact stay the full-space oracle of both, and Orbits.basis
+builds the 4^N-row basis B for the tests that compare with them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +42,8 @@ from .operators import (
     SINGLE,
     ModelParams,
     check_model,
-    driven_hamiltonian,
     effective_hamiltonian,
     excitation_count_vector,
-    jump_operators,
 )
 # the trust limit of an eigenbasis, here for L_red = R diag(lam) R^-1
 from .trajectories import COND_LIMIT
@@ -63,11 +63,9 @@ RENORM_THRESHOLD = 1e-12
 # N = 4 open chain), 193 vs 86 ms at 430 (N = 6 ring), 409 vs 94 ms at 544
 # (N = 5 open chain). eig grows as about dim^2.2 there, crossing near 290;
 # no chain has a dimension between 136 and 430. The coherence cross-check
-# per model (one BLAS thread, omega_a = 0.37, V = 10, median of 5), against
-# the full-space integrate_exact it replaced: 20-24 vs 149-169 ms on the
-# N = 4 ring (eig, 201 times to t = 2); 38-43 vs 66-79 ms on the N = 6 ring
-# (expm_multiply, 26 times to t = 0.25), 156-166 vs 403-464 ms for 201
-# times to t = 2. Most of what is left at N = 4 is sparse operator assembly.
+# per model (one BLAS thread, omega_a = 0.37, V = 10, median of 5): 6-7 ms
+# on the N = 4 ring (eig, 201 times to t = 2); 22-23 ms on the N = 6 ring
+# (expm_multiply, 26 times to t = 0.25), about 150 ms for 201 times to t = 2.
 EIG_MAX_DIM = 256
 
 
@@ -143,10 +141,19 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
     return gen.tocsr()
 
 
-def _equally_spaced(times: np.ndarray) -> bool:
-    span = times[-1] - times[0]
-    return len(times) <= 2 or np.allclose(
-        np.diff(times), span / (len(times) - 1), rtol=1e-9, atol=0)
+def _check_sample_grid(times: np.ndarray) -> None:
+    """Raise ValueError unless times is a non-empty 1-D grid from t >= 0,
+    strictly increasing and equally spaced: the interval form of
+    expm_multiply needs equal steps, and callers pair the samples with
+    their own grid, which a sorted or merged copy would misalign."""
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("sample times must be a non-empty 1-D grid")
+    if times[0] < 0:
+        raise ValueError(f"sample times must be >= 0, got {times[0]:g}")
+    steps = np.diff(times)
+    if np.any(steps <= 0) or not np.allclose(
+            steps, (times[-1] - times[0]) / max(len(times) - 1, 1), rtol=1e-9, atol=0):
+        raise ValueError("sample times must be strictly increasing and equally spaced")
 
 
 # an L too large for float64 overflows expm_multiply's norm estimates, which
@@ -165,8 +172,6 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     # imported here: scipy.sparse.linalg adds ~0.15 s to `import ryddecay.cli`
     from scipy.sparse.linalg import expm_multiply
 
-    if not _equally_spaced(times):
-        raise ValueError("sample times must be equally spaced")
     span = times[-1] - times[0]
     rng_state = np.random.get_state()
     np.random.seed(0)
@@ -206,11 +211,13 @@ def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray
 @np.errstate(invalid="ignore")
 def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
     """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0, by
-    expm_multiply (see _expm_samples). A trace or hermiticity drift above
-    DRIFT_LIMIT raises RuntimeError; snapshots whose trace drifts by more
-    than RENORM_THRESHOLD are renormalized and counted.
+    expm_multiply (see _expm_samples); any other grid raises ValueError. A
+    trace or hermiticity drift above DRIFT_LIMIT raises RuntimeError;
+    snapshots whose trace drifts by more than RENORM_THRESHOLD are
+    renormalized and counted.
     """
     times = np.asarray(times, dtype=float)
+    _check_sample_grid(times)
     dim = rho0.shape[0]
     v = np.array(rho0, dtype=complex).reshape(-1)
     states = _expm_samples(L, v, times).reshape(len(times), dim, dim)
@@ -232,10 +239,10 @@ def integrate_exact(
     t_final: float,
     sample_times=None,
 ) -> IntegrationResult:
-    """Exact propagation of the Lindblad equation, with snapshots at
-    equally spaced sample times in [0, t_final] (default: t_final alone).
-
-    Any other grid raises ValueError; see propagate for the drift checks.
+    """Exact propagation of the Lindblad equation, with one snapshot per
+    sample time (default: t_final alone). The times must be a strictly
+    increasing, equally spaced grid in [0, t_final]; any other grid raises
+    ValueError. See propagate for the drift checks.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[0] > 1024:
@@ -243,10 +250,9 @@ def integrate_exact(
     check_density_matrix(rho0)
     if sample_times is None:
         sample_times = np.array([t_final])
-    sample_times = np.unique(np.atleast_1d(np.asarray(sample_times, dtype=float)))
-    if len(sample_times) == 0:
-        raise ValueError("sample times must not be empty")
-    if np.any(sample_times < 0) or np.any(sample_times > t_final + 1e-12):
+    sample_times = np.atleast_1d(np.asarray(sample_times, dtype=float))
+    _check_sample_grid(sample_times)
+    if sample_times[-1] > t_final + 1e-12:
         raise ValueError("sample times must lie in [0, t_final]")
     return propagate(liouvillian(H, jumps), rho0, sample_times)
 
@@ -285,18 +291,81 @@ def _site_symmetries(lattice: LatticeSpec) -> np.ndarray:
     ])
 
 
-def symmetric_basis(lattice: LatticeSpec) -> sp.csr_matrix:
-    """Orthonormal basis B (4^N rows, on row-major vec(rho)) of the
-    operators invariant under the lattice's site symmetries, real on
-    Hermitian operators.
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of the pairs (i, j) of |i><j| under the lattice's site
+    symmetries, and the real orthonormal basis B of the invariant operators
+    they span, on row-major vec(rho).
 
-    The symmetries permute the pairs (i, j) of |i><j|; e_o is the normalised
-    sum over an orbit o. An orbit closed under transposition gives the column
-    e_o; any other orbit and its transpose t give (e_o + e_t)/sqrt(2) and
-    i (e_o - e_t)/sqrt(2). A Hermitian invariant rho has real coordinates
-    B^dag vec(rho), and B^dag L B is real for an invariant L that preserves
-    hermiticity.
+    reps holds each orbit's representative, the pair i 2^N + j least in it;
+    orbit is the orbit of every pair (length 4^N) and size the orbit sizes
+    |o|. With e_o the normalised sum over an orbit, an orbit closed under
+    transposition gives the column e_o of B, and any other orbit and its
+    transpose t give (e_o + e_t)/sqrt(2) and i (e_o - e_t)/sqrt(2). So
+    B = E U, where E has the columns e_o and the sparse unitary U maps orbit
+    coordinates to these paired columns. A Hermitian invariant rho has real
+    coordinates B^dag vec(rho), and B^dag L B is real for an invariant L that
+    preserves hermiticity.
+
+    An invariant X is fixed by its values at the representatives, and
+    e_o^dag vec(X) = sqrt|o| X_ij at the representative (i, j) of o, so
+    coords, row and reduce need nothing of length 4^N but orbit.
     """
+
+    n_sites: int
+    reps: np.ndarray
+    orbit: np.ndarray
+    size: np.ndarray
+    unitary: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the invariant subspace."""
+        return len(self.reps)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Whether each representative (i, j) has i = j."""
+        return self.reps >> self.n_sites == self.reps & ((1 << self.n_sites) - 1)
+
+    def pair_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The site occupations of i and of j at each representative (i, j),
+        each of shape (dim, N), with site k (bit N - 1 - k) in column k."""
+        shifts = self.n_sites - 1 - np.arange(self.n_sites)
+        pairs = self.reps[:, None]
+        return (pairs >> (self.n_sites + shifts)) & 1, (pairs >> shifts) & 1
+
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        """B^dag vec(X) of a Hermitian invariant X, given X_ij at the
+        representatives."""
+        return (self.unitary.conj().T @ (np.sqrt(self.size) * values)).real
+
+    def row(self, values: np.ndarray) -> np.ndarray:
+        """The row r with tr(A rho) = r . v for rho = B v and an invariant A,
+        given A_ji at the representatives (i, j)."""
+        return self.unitary.T @ (np.sqrt(self.size) * values)
+
+    def reduce(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+        """B^dag L B of an invariant L preserving hermiticity, given its
+        entries (rows, cols, values): in the row of the representative of
+        orbit rows[k], on the pair cols[k]. With M_{o,o'} the sum of
+        values sqrt(|o| / |o'|) over the entries of o's row in orbit o',
+        E^dag L E = M and B^dag L B = Re(U^dag M U)."""
+        target = self.orbit[cols]
+        m = sp.csr_matrix((values * np.sqrt(self.size[rows] / self.size[target]),
+                           (rows, target)), shape=(self.dim, self.dim))
+        return sp.csr_matrix((self.unitary.conj().T @ m @ self.unitary).real)
+
+    def basis(self) -> sp.csr_matrix:
+        """B itself, 4^N rows: only the tests that compare with the
+        full-space liouvillian build it."""
+        pairs = np.arange(len(self.orbit))
+        e = sp.csr_matrix((1.0 / np.sqrt(self.size[self.orbit]), (pairs, self.orbit)))
+        return sp.csr_matrix(e @ self.unitary)
+
+
+def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
+    """The orbits of the pairs (i, j) under the lattice's site symmetries."""
     n = lattice.site_count
     if n > 10:
         raise ValueError("exact propagation supports dim <= 1024 (N <= 10)")
@@ -309,29 +378,70 @@ def symmetric_basis(lattice: LatticeSpec) -> sp.csr_matrix:
         pairs = (perm[:, None] * dim + perm[None, :]).ravel()
         rep = pairs if rep is None else np.minimum(rep, pairs)
     reps, orbit = np.unique(rep, return_inverse=True)
-    size = np.bincount(orbit)
     own = np.arange(len(reps))
     partner = orbit[(reps % dim) * dim + reps // dim]  # the orbit of the transposes
     width = np.where(partner == own, 1, 0) + np.where(partner > own, 2, 0)
-    column = (np.cumsum(width) - width)[np.minimum(own, partner)][orbit]
-    closed = (partner == own)[orbit]
-    scale = 1.0 / np.sqrt(np.where(closed, 1, 2) * size[orbit])
-    sign = np.where((partner > own)[orbit], 1j, -1j)
-    paired = np.flatnonzero(~closed)
-    rows = np.concatenate([np.arange(dim * dim), paired])
-    cols = np.concatenate([column, column[paired] + 1])
-    vals = np.concatenate([scale, sign[paired] * scale[paired]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, width.sum()))
+    column = (np.cumsum(width) - width)[np.minimum(own, partner)]
+    paired = np.flatnonzero(partner != own)
+    unitary = sp.csr_matrix((
+        np.concatenate([np.where(partner == own, 1.0, np.sqrt(0.5)),
+                        np.where(partner[paired] > paired, 1j, -1j) * np.sqrt(0.5)]),
+        (np.concatenate([own, paired]), np.concatenate([column, column[paired] + 1])),
+    ), shape=(len(reps), len(reps)))
+    return Orbits(n, reps, orbit, np.bincount(orbit), unitary)
 
 
-def reduce_generator(basis: sp.csr_matrix, L: sp.csr_matrix) -> sp.csr_matrix:
-    """The real generator B^dag L B of L in the symmetric basis B."""
-    return sp.csr_matrix((basis.conj().T @ (L @ basis)).real)
+def _excited_neighbours(bits: np.ndarray, table) -> np.ndarray:
+    """The excited neighbours of every site, shape (len(bits), N), from the
+    site occupations bits of shape (len(bits), N)."""
+    return np.stack([bits[:, list(nb)].sum(axis=1) for nb in table.neighbors], axis=1)
 
 
-def _trace_row(basis: sp.csr_matrix) -> np.ndarray:
-    """The row of B that gives tr(rho) = vec(1) . B v from the coordinates v."""
-    return (basis.T @ np.eye(math.isqrt(basis.shape[0])).ravel()).real
+def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParams,
+                        model: str) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """The parts L0, L_Delta and L_Omega of the reduced generator
+    L_red = L0 + Delta L_Delta + Omega L_Omega of the driven Lindbladian
+    with H = Delta n + V b + Omega sum_k sigma_x^k (n excitations, b excited
+    bonds) and the dissipator of model, assembled one row (i, j) per orbit
+    representative:
+
+        (L rho)_ij = [-i (Delta (n_i - n_j) + V (b_i - b_j)) - (gamma/2) (n_i + n_j)] rho_ij
+                     - i Omega sum_k (rho_{i^m_k, j} - rho_{i, j^m_k})
+                     + gamma sum_k rho_{i|m_k, j|m_k},
+
+    m_k being site k's bit; the last sum runs over the sites k unexcited in
+    both i and j, and for collective decay also having as many excited
+    neighbours in i as in j. The coherence cross-check's H = omega_a n + V b
+    has the generator L0 + omega_a L_Delta.
+    """
+    check_model(model)
+    table = neighbor_table(lattice)
+    n = lattice.site_count
+    dim = 1 << n
+    bits_i, bits_j = orbits.pair_bits()
+    i, j = orbits.reps[:, None] >> n, orbits.reps[:, None] & (dim - 1)
+    masks = 1 << (n - 1 - np.arange(n))
+    rows = np.arange(orbits.dim)
+    site_rows = np.repeat(rows, n)
+
+    bonds = np.array(table.bond_list, dtype=int).reshape(-1, 2).T
+    n_i, n_j = bits_i.sum(axis=1), bits_j.sum(axis=1)
+    l_delta = orbits.reduce(rows, orbits.reps, -1j * (n_i - n_j))
+    l_omega = orbits.reduce(
+        np.concatenate([site_rows, site_rows]),
+        np.concatenate([((i ^ masks) * dim + j).ravel(), (i * dim + (j ^ masks)).ravel()]),
+        np.repeat([-1j, 1j], site_rows.size))
+    decays = (bits_i == 0) & (bits_j == 0)
+    if model == COLLECTIVE:
+        decays &= _excited_neighbours(bits_i, table) == _excited_neighbours(bits_j, table)
+    excited_bonds = [(bits[:, bonds[0]] & bits[:, bonds[1]]).sum(axis=1) for bits in (bits_i, bits_j)]
+    diagonal = (-1j * params.V * (excited_bonds[0] - excited_bonds[1])
+                - 0.5 * params.gamma * (n_i + n_j))
+    l0 = orbits.reduce(
+        np.concatenate([rows, site_rows[decays.ravel()]]),
+        np.concatenate([orbits.reps, ((i | masks) * dim + (j | masks))[decays]]),
+        np.concatenate([diagonal, np.full(decays.sum(), params.gamma)]))
+    return l0, l_delta, l_omega
 
 
 @dataclass(kw_only=True)
@@ -386,27 +496,23 @@ def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, stats: Propa
     return states
 
 
-def _propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, basis: sp.csr_matrix,
-                       trace_row: np.ndarray, stats: PropagationStats) -> np.ndarray:
-    """v(t) = exp(t L_red) v0 in the symmetric basis, one column per time.
+def _propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
+                       stats: PropagationStats) -> np.ndarray:
+    """v(t) = exp(t L_red) v0 in the symmetric basis of orbits, one column
+    per time.
 
     gen is L_red (dense or sparse). Up to EIG_MAX_DIM it takes the eig
     closed form, else (or when cond(R) > COND_LIMIT) expm_multiply. The
-    drift checks and renormalization of propagate apply: the trace is
-    trace_row applied to v, and the hermiticity drift is
-    max |rho - rho^dag| = 2 max |B Im v|, which only the complex eig route
-    can have. times must be a non-empty, strictly increasing and equally
-    spaced grid from t >= 0 (ValueError); a drift above DRIFT_LIMIT raises
-    RuntimeError. The dimension, route, cond, gap and drifts are recorded in
-    stats.
+    drift checks and renormalization of propagate apply: the trace is the
+    trace row applied to v, and the hermiticity drift is
+    max |rho - rho^dag| = 2 max |B Im v| = 2 max_o |(U Im v)_o| / sqrt|o|,
+    which only the complex eig route can have. times must be a non-empty,
+    strictly increasing and equally spaced grid from t >= 0 (ValueError); a
+    drift above DRIFT_LIMIT raises RuntimeError. The dimension, route, cond,
+    gap and drifts are recorded in stats.
     """
     stats.reduced_dim = gen.shape[0]
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("sample times must be a non-empty 1-D grid")
-    if times[0] < 0:
-        raise ValueError(f"sample times must be >= 0, got {times[0]:g}")
-    if np.any(np.diff(times) <= 0) or not _equally_spaced(times):
-        raise ValueError("sample times must be strictly increasing and equally spaced")
+    _check_sample_grid(times)
     states = None
     if gen.shape[0] <= EIG_MAX_DIM:
         states = _eig_window(gen.toarray() if sp.issparse(gen) else gen, v0, times, stats)
@@ -415,8 +521,8 @@ def _propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, basis: sp.csr_mat
         stats.expm_cells += 1
     else:
         stats.eig_cells += 1
-    traces = trace_row @ states
-    herm = (2 * np.abs(basis @ states.imag).max(axis=0)
+    traces = orbits.row(orbits.diagonal).real @ states
+    herm = (2 * (np.abs(orbits.unitary @ states.imag) / np.sqrt(orbits.size)[:, None]).max(axis=0)
             if np.iscomplexobj(states) else np.zeros(len(times)))
     renorm = _check_drift(stats, traces, herm)
     states[:, renorm] /= traces[renorm]
@@ -436,8 +542,8 @@ def scan_steady_state(
     Every (Delta, Omega, model) cell is propagated from the all-down state;
     <n>(t) is sampled at the 100 window times and averaged. The driven
     Hamiltonian is linear in Delta and Omega and the dissipator depends on
-    neither, so each model's generator is assembled and reduced to the
-    symmetric basis once, L_red(Delta, Omega) = L0 + Delta L_Delta +
+    neither, so each model's reduced generator is assembled once from the
+    orbit representatives, L_red(Delta, Omega) = L0 + Delta L_Delta +
     Omega L_Omega, and each cell's window is propagated by
     _propagate_reduced, whose drift checks apply to every window. A cell
     that fails them is left NaN and named in errors.
@@ -450,27 +556,11 @@ def scan_steady_state(
     if t_final < tw[-1] - 1e-12:
         raise ValueError("t_final must cover the averaging window")
 
-    table = neighbor_table(lattice)
-    basis = symmetric_basis(lattice)
-    # dense L_red makes the per-cell sums cheap on the eig route
-    closed_form = basis.shape[1] <= EIG_MAX_DIM
-
-    def reduced(H, jumps=()):
-        gen = reduce_generator(basis, liouvillian(H, jumps))
-        return gen.toarray() if closed_form else gen
-
-    def hamiltonian(**terms):
-        return driven_hamiltonian(lattice, table, ModelParams(**terms))
-
-    l_delta = reduced(hamiltonian(Delta=1.0))
-    l_omega = reduced(hamiltonian(Omega=1.0))
-    h_bonds = hamiltonian(V=params.V)
-    # rho_ii from the coordinates: the diagonal lies in closed, real columns
-    dim = 1 << lattice.site_count
-    to_diag = basis[np.arange(dim) * (dim + 1)].real
-    v0 = to_diag[0].toarray().ravel()  # B^dag vec(|0><0|)
-    trace_row = _trace_row(basis)
-    obs_row = to_diag.T @ excitation_count_vector(lattice) / lattice.site_count
+    orbits = symmetry_orbits(lattice)
+    v0 = orbits.coords(orbits.reps == 0)  # the vacuum |0><0|
+    # <n>/N = tr(diag(n) rho) / N
+    excitations = orbits.pair_bits()[0].sum(axis=1)
+    obs_row = orbits.row(orbits.diagonal * excitations).real / lattice.site_count
 
     scan = SteadyStateScan(
         delta_values=delta_values,
@@ -480,13 +570,16 @@ def scan_steady_state(
         t_final=t_final,
     )
     for m in models:
-        l0 = reduced(h_bonds, jump_operators(lattice, table, params, m))
+        l0, l_delta, l_omega = reduced_liouvillian(orbits, lattice, params, m)
+        if orbits.dim <= EIG_MAX_DIM:
+            # dense L_red makes the per-cell sums cheap on the eig route
+            l0, l_delta, l_omega = l0.toarray(), l_delta.toarray(), l_omega.toarray()
         out = scan.n_single if m == SINGLE else scan.n_collective
         for i, delta in enumerate(delta_values):
             for j, omega in enumerate(omega_values):
                 try:
                     states = _propagate_reduced(
-                        l0 + delta * l_delta + omega * l_omega, v0, tw, basis, trace_row, scan)
+                        l0 + delta * l_delta + omega * l_omega, v0, tw, orbits, scan)
                 except RuntimeError as err:
                     scan.errors.append(f"model={m} Delta={delta} Omega={omega}: {err}")
                     continue

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ryddecay import coherence, trajectories
+import ryddecay
+from ryddecay import cli, coherence, master_equation, operators, trajectories
 from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, POSITIVE_KEYS, _contrast, _fmt, main
 from ryddecay.trajectories import COND_LIMIT
 
@@ -119,14 +120,35 @@ def test_coherence_round_trip_bytes(tmp_path):
 
 
 def test_coherence_cross_check_is_not_cached(tmp_path, monkeypatch):
-    # every coherence call builds its own basis and generator per model
+    # every coherence call builds its own orbits and generator per model
     calls = []
-    real = coherence.symmetric_basis
-    monkeypatch.setattr(coherence, "symmetric_basis", lambda lat: calls.append(lat) or real(lat))
+    real = coherence.symmetry_orbits
+    monkeypatch.setattr(coherence, "symmetry_orbits", lambda lat: calls.append(lat) or real(lat))
     cfg = {"V": 4.0, "t_max": 1.0, "n_times": 3, "verify_N": 3}
     run(tmp_path, "coherence", cfg)
     run(tmp_path, "coherence", cfg)
     assert len(calls) == 4
+
+
+FULL_SPACE_BUILDERS = ("liouvillian", "jump_operators", "driven_hamiltonian", "atomic_hamiltonian")
+
+
+def test_exact_paths_build_no_full_space_operator(tmp_path, monkeypatch):
+    # the scan and the cross-check assemble their reduced generators from the
+    # orbit representatives; any 2^N- or 4^N-dimensional builder would raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space operator built")
+
+    for module in (ryddecay, cli, coherence, master_equation, operators, trajectories):
+        for name in FULL_SPACE_BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    run(tmp_path, "steady-state", {
+        "N": 4, "delta_min": -6.0, "delta_max": 0.0, "n_delta": 2,
+        "omega_min": 1.0, "omega_max": 2.5, "n_omega": 2,
+    })
+    run(tmp_path, "coherence", {"V": 4.0, "t_max": 1.0, "n_times": 5, "verify_N": 4})
+    assert json.loads((tmp_path / "steady_state_manifest.json").read_text())["errors"] == []
 
 
 def test_coherence_rejects_unknown_key(tmp_path, capsys):

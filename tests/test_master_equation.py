@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 import ryddecay
 import ryddecay.master_equation as master_equation
-from ryddecay.lattice import LatticeSpec
+from ryddecay.coherence import _mode_rows
+from ryddecay.lattice import LatticeSpec, neighbor_table
 from ryddecay.master_equation import (
     EIG_MAX_DIM,
     check_density_matrix,
@@ -19,9 +20,9 @@ from ryddecay.master_equation import (
     liouvillian,
     product_density,
     propagate,
-    reduce_generator,
+    reduced_liouvillian,
     scan_steady_state,
-    symmetric_basis,
+    symmetry_orbits,
     vacuum_density,
     window_times,
 )
@@ -30,12 +31,19 @@ from ryddecay.operators import (
     SINGLE,
     ModelParams,
     build_system,
+    driven_hamiltonian,
+    excitation_count_vector,
+    jump_operators,
+    neighborhood_projector,
+    site_operator,
 )
 
 LAT1 = LatticeSpec(1, (1,), "open")
 LAT3 = LatticeSpec(1, (3,), "periodic")
 LAT4 = LatticeSpec(1, (4,), "periodic")
 LAT6 = LatticeSpec(1, (6,), "periodic")
+LAT8 = LatticeSpec(1, (8,), "periodic")
+LAT10 = LatticeSpec(1, (10,), "periodic")
 OPEN3 = LatticeSpec(1, (3,), "open")
 OPEN4 = LatticeSpec(1, (4,), "open")
 SQUARE2 = LatticeSpec(2, (2, 2), "open")
@@ -235,6 +243,15 @@ def test_unequally_spaced_sample_times_rejected():
         integrate_exact(vacuum_density(8), h, jumps, 1.0, sample_times=[0.1, 0.2, 0.5])
 
 
+@pytest.mark.parametrize("ts", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0]])
+def test_reversed_or_duplicated_sample_times_rejected(ts):
+    # one state per requested time, in the requested order, or an error:
+    # a sorted or merged copy of the grid would misalign the caller's pairing
+    h, jumps = build_system(LAT3, ModelParams(V=10.0), COLLECTIVE)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrate_exact(vacuum_density(8), h, jumps, 1.0, sample_times=ts)
+
+
 def _same_rng_state(a, b):
     return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
 
@@ -269,24 +286,78 @@ def test_cli_import_leaves_out_sparse_linalg():
 
 # Burnside counts of the pairs (i, j) under the dihedral group of a ring,
 # (4^N + 4^ceil(N/2)) / 2 under the reflection of an open chain
-@pytest.mark.parametrize("lattice, dim", [(LAT4, 55), (LAT6, 430), (OPEN3, 40), (OPEN4, 136)])
+@pytest.mark.parametrize("lattice, dim", [(LAT4, 55), (LAT6, 430), (OPEN3, 40), (OPEN4, 136),
+                                          (LAT8, 4435)])
 def test_symmetric_basis_dimension_and_orthonormality(lattice, dim):
-    basis = symmetric_basis(lattice)
+    orbits = symmetry_orbits(lattice)
+    basis = orbits.basis()
+    assert orbits.dim == dim
     assert basis.shape == (4 ** lattice.site_count, dim)
-    gram = (basis.conj().T @ basis).toarray()
-    assert np.max(np.abs(gram - np.eye(dim))) < 1e-14
+    assert abs(basis.conj().T @ basis - sp.identity(dim)).max() < 1e-14
+
+
+def _mode_operators(lattice):
+    """The mode operators (1/N) sum_k P_k^xi sigma_k^-, xi = 0..2."""
+    table = neighbor_table(lattice)
+    n = lattice.site_count
+    return [sum(neighborhood_projector(lattice, table, k, xi)
+                @ site_operator(lattice, k, "sigma_minus") for k in range(n)) / n
+            for xi in range(3)]
 
 
 @pytest.mark.parametrize("lattice", [LAT4, LAT6, OPEN3, OPEN4, SQUARE2])
 @pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
 def test_reduced_generator_is_real_and_exact(lattice, model):
-    # L B = B L_red holds only if L maps the symmetric subspace into itself
-    h, jumps = build_system(lattice, ModelParams(V=10.0, Omega=2.5, Delta=-6.0), model)
-    gen = liouvillian(h, jumps)
-    basis = symmetric_basis(lattice)
-    reduced = reduce_generator(basis, gen)
-    assert not np.iscomplexobj(reduced.data)
-    assert abs(gen @ basis - basis @ reduced).max() <= 1e-12
+    # each part assembled from the orbit representatives against the
+    # full-space liouvillian of its Hamiltonian and jumps: L B = B L_red holds
+    # only if L maps the symmetric subspace into itself and L_red is B^dag L B
+    table = neighbor_table(lattice)
+    params = ModelParams(V=10.0, gamma=0.7)
+    orbits = symmetry_orbits(lattice)
+    basis = orbits.basis()
+    oracles = [
+        (driven_hamiltonian(lattice, table, params), jump_operators(lattice, table, params, model)),
+        (driven_hamiltonian(lattice, table, ModelParams(Delta=1.0)), ()),
+        (driven_hamiltonian(lattice, table, ModelParams(Omega=1.0)), ()),
+    ]
+    for part, (h, jumps) in zip(reduced_liouvillian(orbits, lattice, params, model), oracles):
+        assert not np.iscomplexobj(part.data)
+        gen = liouvillian(h, jumps)
+        assert abs(gen @ basis - basis @ part).max() <= 1e-12
+        assert abs((basis.conj().T @ gen @ basis).real - part).max() <= 1e-12
+
+    # the start states, trace and observable rows against B^dag vec(rho) and
+    # vec(A^T) B
+    dim = 1 << lattice.site_count
+    n = lattice.site_count
+    vacuum = orbits.coords(orbits.reps == 0)
+    assert np.max(np.abs(vacuum - (basis.conj().T @ vacuum_density(dim).ravel()).real)) <= 1e-14
+    half = product_density(np.full((2, 2), 0.5), n)
+    coords = orbits.coords(np.full(orbits.dim, 0.5 ** n))
+    assert np.max(np.abs(coords - (basis.conj().T @ half.ravel()).real)) <= 1e-14
+    trace = orbits.row(orbits.diagonal).real
+    assert np.max(np.abs(trace - basis.T @ np.eye(dim).ravel())) <= 1e-14
+    excitations = orbits.pair_bits()[0].sum(axis=1)
+    observable = orbits.row(orbits.diagonal * excitations).real / n
+    density = np.diag(excitation_count_vector(lattice)).ravel() / n
+    assert np.max(np.abs(observable - basis.T @ density)) <= 1e-14
+    if lattice.boundary == "periodic":
+        full = np.stack([op.T.toarray().ravel() for op in _mode_operators(lattice)])
+        assert np.max(np.abs(_mode_rows(orbits, lattice, 1) - (basis.T @ full.T).T)) <= 1e-14
+
+
+@pytest.mark.parametrize("lattice, dim", [(LAT8, 4435), (LAT10, 53764)])
+def test_reduced_generator_beyond_the_oracle(lattice, dim):
+    # sizes whose full-space L (65,536 and 1,048,576 rows) the oracle cannot
+    # reach: the Burnside dimension, real parts, and tr L rho = 0 for every rho
+    orbits = symmetry_orbits(lattice)
+    assert orbits.dim == dim
+    trace = orbits.row(orbits.diagonal)
+    assert np.max(np.abs(trace.imag)) == 0.0
+    for model in (SINGLE, COLLECTIVE):
+        for part in reduced_liouvillian(orbits, lattice, ModelParams(V=10.0), model):
+            assert part.shape == (dim, dim) and not np.iscomplexobj(part.data)
+            assert np.max(np.abs(trace.real @ part)) <= 1e-12
 
 
 def _full_space_window_means(lattice, deltas, omegas, model):

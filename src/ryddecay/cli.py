@@ -44,8 +44,8 @@ from .trajectories import COND_LIMIT, run_ensemble
 
 # no workflow steps in time; older configs and manifests still carry dt
 DEFAULT_DT = 1e-3
-# at N = 10 the exact scan builds L_Omega in the full space before reducing
-# it, 21 million non-zeros (0.4 GB), and eig of H_eff takes 4.7 s
+# at N = 10 a steady-state cell holds the 4^N-entry orbit array and a reduced
+# generator of dimension 53,764 (10 s, 250 MiB peak); eig of H_eff takes 4.7 s
 MAX_SITES = 10
 # largest half-coordination whose initial coherence profile fits in float64
 MAX_COHERENCE_D = 511
@@ -226,8 +226,9 @@ def _delta_grid(cfg) -> np.ndarray:
 def _chain(cfg):
     """The config's chain, checked against MAX_SITES before any operator is built."""
     if cfg["N"] > MAX_SITES:
-        raise ValueError(f"N <= {MAX_SITES} is required (operators on 2^N states "
-                         f"are held densely), got N = {cfg['N']}")
+        raise ValueError(f"N <= {MAX_SITES} is required (at N = 10 steady-state holds a 4^N-entry "
+                         f"orbit array and a generator of dimension 53,764, 250 MiB; trajectories "
+                         f"a dense 2^N x 2^N H_eff), got N = {cfg['N']}")
     return build_lattice(1, (cfg["N"],), cfg["boundary"])
 
 

@@ -39,6 +39,7 @@ from .master_equation import (
     PropagationStats,
     _excited_neighbours,
     _propagate_reduced,
+    reduced_detuning,
     reduced_liouvillian,
     symmetry_orbits,
 )
@@ -151,12 +152,12 @@ def exact_mode_series(
         raise ValueError("coherence cross-check requires Omega = 0")
     d = half_coordination(lattice)
     orbits = symmetry_orbits(lattice)
-    l0, l_delta, _ = reduced_liouvillian(orbits, lattice, params, model)
+    gen = (reduced_liouvillian(orbits, lattice, params, model)
+           + params.omega_a * reduced_detuning(orbits))
     # the half-inverted product state has every entry 2^-N
     v0 = orbits.coords(np.full(orbits.dim, 0.5 ** lattice.site_count))
-    states = _propagate_reduced(
-        l0 + params.omega_a * l_delta, v0, np.asarray(t_grid, dtype=float), orbits,
-        PropagationStats() if stats is None else stats)
+    states = _propagate_reduced(gen, v0, np.asarray(t_grid, dtype=float), orbits,
+                                PropagationStats() if stats is None else stats)
     return _mode_rows(orbits, lattice, d) @ states
 
 

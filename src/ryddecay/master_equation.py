@@ -398,12 +398,11 @@ def _excited_neighbours(bits: np.ndarray, table) -> np.ndarray:
 
 
 def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParams,
-                        model: str) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """The parts L0, L_Delta and L_Omega of the reduced generator
-    L_red = L0 + Delta L_Delta + Omega L_Omega of the driven Lindbladian
-    with H = Delta n + V b + Omega sum_k sigma_x^k (n excitations, b excited
-    bonds) and the dissipator of model, assembled one row (i, j) per orbit
-    representative:
+                        model: str) -> sp.csr_matrix:
+    """L0 of the reduced generator L_red = L0 + Delta L_Delta + Omega L_Omega
+    of the driven Lindbladian with H = Delta n + V b + Omega sum_k sigma_x^k
+    (n excitations, b excited bonds) and the dissipator of model, assembled
+    one row (i, j) per orbit representative:
 
         (L rho)_ij = [-i (Delta (n_i - n_j) + V (b_i - b_j)) - (gamma/2) (n_i + n_j)] rho_ij
                      - i Omega sum_k (rho_{i^m_k, j} - rho_{i, j^m_k})
@@ -411,8 +410,9 @@ def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParam
 
     m_k being site k's bit; the last sum runs over the sites k unexcited in
     both i and j, and for collective decay also having as many excited
-    neighbours in i as in j. The coherence cross-check's H = omega_a n + V b
-    has the generator L0 + omega_a L_Delta.
+    neighbours in i as in j. L_Delta and L_Omega depend on the orbits alone
+    (reduced_detuning, reduced_drive); the coherence cross-check's
+    H = omega_a n + V b has the generator L0 + omega_a L_Delta.
     """
     check_model(model)
     table = neighbor_table(lattice)
@@ -426,22 +426,35 @@ def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParam
 
     bonds = np.array(table.bond_list, dtype=int).reshape(-1, 2).T
     n_i, n_j = bits_i.sum(axis=1), bits_j.sum(axis=1)
-    l_delta = orbits.reduce(rows, orbits.reps, -1j * (n_i - n_j))
-    l_omega = orbits.reduce(
-        np.concatenate([site_rows, site_rows]),
-        np.concatenate([((i ^ masks) * dim + j).ravel(), (i * dim + (j ^ masks)).ravel()]),
-        np.repeat([-1j, 1j], site_rows.size))
     decays = (bits_i == 0) & (bits_j == 0)
     if model == COLLECTIVE:
         decays &= _excited_neighbours(bits_i, table) == _excited_neighbours(bits_j, table)
     excited_bonds = [(bits[:, bonds[0]] & bits[:, bonds[1]]).sum(axis=1) for bits in (bits_i, bits_j)]
     diagonal = (-1j * params.V * (excited_bonds[0] - excited_bonds[1])
                 - 0.5 * params.gamma * (n_i + n_j))
-    l0 = orbits.reduce(
+    return orbits.reduce(
         np.concatenate([rows, site_rows[decays.ravel()]]),
         np.concatenate([orbits.reps, ((i | masks) * dim + (j | masks))[decays]]),
         np.concatenate([diagonal, np.full(decays.sum(), params.gamma)]))
-    return l0, l_delta, l_omega
+
+
+def reduced_detuning(orbits: Orbits) -> sp.csr_matrix:
+    """L_Delta of reduced_liouvillian."""
+    bits_i, bits_j = orbits.pair_bits()
+    return orbits.reduce(np.arange(orbits.dim), orbits.reps,
+                         -1j * (bits_i.sum(axis=1) - bits_j.sum(axis=1)))
+
+
+def reduced_drive(orbits: Orbits) -> sp.csr_matrix:
+    """L_Omega of reduced_liouvillian, which holds most of L_red's non-zeros."""
+    n, dim = orbits.n_sites, 1 << orbits.n_sites
+    i, j = orbits.reps[:, None] >> n, orbits.reps[:, None] & (dim - 1)
+    masks = 1 << (n - 1 - np.arange(n))
+    site_rows = np.repeat(np.arange(orbits.dim), n)
+    return orbits.reduce(
+        np.concatenate([site_rows, site_rows]),
+        np.concatenate([((i ^ masks) * dim + j).ravel(), (i * dim + (j ^ masks)).ravel()]),
+        np.repeat([-1j, 1j], site_rows.size))
 
 
 @dataclass(kw_only=True)
@@ -542,9 +555,9 @@ def scan_steady_state(
     Every (Delta, Omega, model) cell is propagated from the all-down state;
     <n>(t) is sampled at the 100 window times and averaged. The driven
     Hamiltonian is linear in Delta and Omega and the dissipator depends on
-    neither, so each model's reduced generator is assembled once from the
-    orbit representatives, L_red(Delta, Omega) = L0 + Delta L_Delta +
-    Omega L_Omega, and each cell's window is propagated by
+    neither, so the reduced generator L_red(Delta, Omega) = L0 + Delta L_Delta
+    + Omega L_Omega is assembled from the orbit representatives once per scan,
+    L0 once per model, and each cell's window is propagated by
     _propagate_reduced, whose drift checks apply to every window. A cell
     that fails them is left NaN and named in errors.
     """
@@ -569,11 +582,13 @@ def scan_steady_state(
         n_collective=np.full((len(delta_values), len(omega_values)), np.nan),
         t_final=t_final,
     )
+    def dense(part):
+        # dense L_red makes the per-cell sums cheap on the eig route
+        return part.toarray() if orbits.dim <= EIG_MAX_DIM else part
+
+    l_delta, l_omega = dense(reduced_detuning(orbits)), dense(reduced_drive(orbits))
     for m in models:
-        l0, l_delta, l_omega = reduced_liouvillian(orbits, lattice, params, m)
-        if orbits.dim <= EIG_MAX_DIM:
-            # dense L_red makes the per-cell sums cheap on the eig route
-            l0, l_delta, l_omega = l0.toarray(), l_delta.toarray(), l_omega.toarray()
+        l0 = dense(reduced_liouvillian(orbits, lattice, params, m))
         out = scan.n_single if m == SINGLE else scan.n_collective
         for i, delta in enumerate(delta_values):
             for j, omega in enumerate(omega_values):

@@ -21,6 +21,10 @@ Newton polish, deduplication and Jacobian classification as masks.
 find_fixed_points is its independent oracle: Newton from a 10x10x10 seed
 grid over the physical box, through the same polish, deduplication and
 classification, with no use of the cubic. The two are cross-checked in tests.
+Every term of the flow is linear in one of Delta, Omega, gamma and 2dV, so
+both routes first divide them by the flow's largest rate s (_scaled): the
+fixed points and their stability do not change, and every tolerance is
+relative to s or gamma. The one size limit is s <= SPAN_LIMIT gamma.
 
 The bistable lobe ends at a cusp, where that cubic has a triple root n0.
 refine_critical_point solves for it in closed form: the triple-root
@@ -34,28 +38,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, half_coordination, neighbor_table
+from .lattice import LatticeSpec, half_coordination
 from .master_equation import lindblad_rhs, product_density
-from .operators import (
-    COLLECTIVE,
-    ModelParams,
-    check_model,
-    driven_hamiltonian,
-    jump_operators,
-    site_operator,
-)
+from .operators import COLLECTIVE, ModelParams, build_system, check_model, site_operator
 
 AS_PRINTED = "as_printed"
 ORACLE_VERIFIED = "oracle_verified"
 SIGN_CONVENTIONS = (AS_PRINTED, ORACLE_VERIFIED)
 
-NEWTON_RESIDUAL = 1e-12
+NEWTON_RESIDUAL = 1e-12  # on the flow scaled to largest rate 1 (_scaled)
 DEDUP_TOL = 1e-6
-STABLE_EIG_TOL = -1e-9
+STABLE_EIG_TOL = -1e-9  # in units of gamma
 BOUNDS_SLACK = 1e-6
 # eigenvalues of a 3x3 Jacobian J carry absolute errors of a few eps ||J||
 EIG_ROUNDING = 100 * np.finfo(float).eps
-TOO_LARGE = "Delta, Omega or V too large"
+# largest s / gamma (see _scaled): there the rounding band EIG_ROUNDING ||J||,
+# about 1e-13 s in the box, is about 1e-3 gamma. On 41 x 41 grids roots in the
+# box first fell inside it at s = 1e11 gamma (as printed) and 1e13 (verified).
+SPAN_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class PhaseDiagram:
     states (..., K, 3) holds each cell's distinct roots (n, s_x, s_y) first,
     sorted by n, then s_x, s_y, and NaN in the unused slots. stable marks
     the roots whose Jacobian eigenvalues all have real part below
-    STABLE_EIG_TOL; physical those inside the box (slack BOUNDS_SLACK).
+    STABLE_EIG_TOL gamma; physical those inside the box (slack BOUNDS_SLACK).
     """
 
     states: np.ndarray
@@ -130,12 +130,12 @@ def _factor_u(params: MeanFieldParams, model: str) -> float:
     return 4.0 * params.d if model == COLLECTIVE else 0.0
 
 
-def _rhs_raw(n, s_x, s_y, Delta, Omega, gamma, w, u, sigma):
-    a = 0.5 * gamma * (u * n + 1.0)
-    dn = Omega * s_y - gamma * n
-    dsx = -Delta * s_y - a * s_x - w * n * s_y
-    dsy = sigma * Delta * s_x - a * s_y + w * n * s_x - Omega * (4.0 * n - 2.0)
-    return dn, dsx, dsy
+def _terms(state, params: MeanFieldParams, sign_convention: str, model: str):
+    """n, s_x, s_y of state, then Delta, Omega, gamma, w = 2dV, u and sigma."""
+    sigma = _sigma(sign_convention)
+    arr = state.as_array() if isinstance(state, MeanFieldState) else np.asarray(state, float)
+    return (arr[..., 0], arr[..., 1], arr[..., 2], params.Delta, params.Omega, params.gamma,
+            2.0 * params.d * params.V, _factor_u(params, model), sigma)
 
 
 def mf_rhs(
@@ -146,13 +146,11 @@ def mf_rhs(
 ) -> np.ndarray:
     """Time derivative of (n, s_x, s_y). Accepts a MeanFieldState, a triple,
     or an (..., 3) array (broadcast over leading axes)."""
-    sigma = _sigma(sign_convention)
-    u = _factor_u(params, model)
-    w = 2.0 * params.d * params.V
-    arr = state.as_array() if isinstance(state, MeanFieldState) else np.asarray(state, float)
-    n, s_x, s_y = arr[..., 0], arr[..., 1], arr[..., 2]
-    dn, dsx, dsy = _rhs_raw(n, s_x, s_y, params.Delta, params.Omega, params.gamma, w, u, sigma)
-    return np.stack([dn, dsx, dsy], axis=-1)
+    n, s_x, s_y, D, O, g, w, u, sigma = _terms(state, params, sign_convention, model)
+    a = 0.5 * g * (u * n + 1.0)
+    return np.stack([O * s_y - g * n,
+                     -D * s_y - a * s_x - w * n * s_y,
+                     sigma * D * s_x - a * s_y + w * n * s_x - O * (4.0 * n - 2.0)], axis=-1)
 
 
 def mf_jacobian(
@@ -162,29 +160,40 @@ def mf_jacobian(
     model: str = COLLECTIVE,
 ) -> np.ndarray:
     """Jacobian of mf_rhs, shape (..., 3, 3)."""
-    sigma = _sigma(sign_convention)
-    u = _factor_u(params, model)
-    w = 2.0 * params.d * params.V
-    g = params.gamma
-    arr = state.as_array() if isinstance(state, MeanFieldState) else np.asarray(state, float)
-    n, s_x, s_y = arr[..., 0], arr[..., 1], arr[..., 2]
+    n, s_x, s_y, D, O, g, w, u, sigma = _terms(state, params, sign_convention, model)
     z = np.zeros_like(n)
     a = 0.5 * g * (u * n + 1.0)
-    row0 = np.stack([-g + z, z, params.Omega + z], axis=-1)
-    row1 = np.stack([-0.5 * g * u * s_x - w * s_y, -a, -params.Delta - w * n], axis=-1)
-    row2 = np.stack(
-        [-0.5 * g * u * s_y + w * s_x - 4.0 * params.Omega + z, sigma * params.Delta + w * n, -a],
-        axis=-1,
-    )
-    return np.stack([row0, row1, row2], axis=-2)
+    return np.stack([np.stack(row, axis=-1) for row in (
+        [-g + z, z, O + z],
+        [-0.5 * g * u * s_x - w * s_y, -a, -D - w * n],
+        [-0.5 * g * u * s_y + w * s_x - 4.0 * O + z, sigma * D + w * n, -a],
+    )], axis=-2)
 
 
-# an overflow in the polish shows as a non-finite residual, rejected below
+def _scaled(params: MeanFieldParams) -> MeanFieldParams:
+    """params with Delta, Omega, gamma and V divided by the flow's largest
+    rate s = max(gamma (1 + 4d), 2d|V|, max |Delta|, max |Omega|); ValueError
+    for a non-finite value or s > SPAN_LIMIT gamma. The first step of both
+    fixed-point routes."""
+    delta, omega = np.asarray(params.Delta, float), np.asarray(params.Omega, float)
+    if not np.isfinite(np.r_[delta.ravel(), omega.ravel(), params.gamma, params.V]).all():
+        raise ValueError("grid values, gamma and V must be finite")
+    s = max(params.gamma * (1 + 4 * params.d), 2 * params.d * abs(params.V),
+            np.max(np.abs(delta)), np.max(np.abs(omega)))
+    if s > SPAN_LIMIT * params.gamma:
+        raise ValueError(f"Delta, Omega or V too large: the flow's largest rate is "
+                         f"{s / params.gamma:.3g} gamma; float64 resolves stability up to "
+                         f"{SPAN_LIMIT:g} gamma")
+    return replace(params, Delta=delta / s, Omega=omega / s, gamma=params.gamma / s,
+                   V=params.V / s)
+
+
+# an overflow in the polish shows as a non-finite residual, which is not kept
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDiagram:
     """Newton-polish, deduplicate and classify the candidates (..., K, 3) of
-    each cell; params.Delta and params.Omega broadcast to the cells' shape
-    plus a trailing 1. The back end of both fixed-point routes.
+    each cell; params come from _scaled, with Delta and Omega broadcast to
+    the cells' shape plus a trailing 1. The back end of both routes.
 
     A cell stops once its largest residual among valid candidates is below
     NEWTON_RESIDUAL / 10, and keeps the candidates below NEWTON_RESIDUAL.
@@ -218,8 +227,6 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
         xa[~np.isfinite(xa).all(axis=-1)] = 0.0  # runaway candidates restart at the origin
         x[active] = xa
     residual = np.max(np.abs(mf_rhs(x, cells, sign_convention, model)), axis=-1)
-    if not np.isfinite(residual[valid]).all():
-        raise ValueError(f"{TOO_LARGE}: a fixed-point candidate's residual overflows float64")
     kept = valid & (residual < NEWTON_RESIDUAL)
 
     for j in range(1, k):
@@ -229,10 +236,11 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
     stable = np.zeros_like(kept)
     jac = mf_jacobian(x, cells, sign_convention, model)[kept]
     eig = np.linalg.eigvals(jac)
-    if np.any(np.abs(eig.real - STABLE_EIG_TOL)
+    threshold = STABLE_EIG_TOL * params.gamma
+    if np.any(np.abs(eig.real - threshold)
               <= EIG_ROUNDING * np.linalg.norm(jac, axis=(-2, -1))[:, None]):
-        raise ValueError(f"{TOO_LARGE}: float64 cannot resolve a fixed point's stability")
-    stable[kept] = np.all(eig.real < STABLE_EIG_TOL, axis=-1)
+        raise ValueError("float64 cannot resolve a fixed point's stability")
+    stable[kept] = np.all(eig.real < threshold, axis=-1)
     physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
 
     order = np.lexsort((x[..., 2], x[..., 1], x[..., 0], ~kept), axis=-1)
@@ -258,10 +266,11 @@ def find_fixed_points(
     converges to one. AS_PRINTED has no such guarantee (at
     Delta^2 = gamma^2/4 + 2 Omega^2, V = 0, single-atom decay it has none),
     and there the list may be empty."""
+    scaled = _scaled(params)
     ns = np.linspace(0.0, 1.0, 10)
     ss = np.linspace(-1.0, 1.0, 10)
     grid = np.stack(np.meshgrid(ns, ss, ss, indexing="ij"), axis=-1).reshape(-1, 3)
-    fp = _solve(grid, np.ones(len(grid), bool), params, sign_convention, model, iters=60)
+    fp = _solve(grid, np.ones(len(grid), bool), scaled, sign_convention, model, iters=60)
     found = ~np.isnan(fp.states[:, 0])
     if sign_convention == ORACLE_VERIFIED and not found.any():
         raise ValueError(f"no Newton seed converged to a fixed point for {params}")
@@ -316,36 +325,24 @@ def scan_phase_diagram(
     omega_grid = np.asarray(omega_grid, float)
     if delta_grid.size == 0 or omega_grid.size == 0:
         raise ValueError("grids must be non-empty")
-    if not np.isfinite(np.concatenate([delta_grid, omega_grid, [params.gamma, params.V]])).all():
-        raise ValueError("grid values, gamma and V must be finite")
+    p = _scaled(replace(params, Delta=delta_grid[:, None], Omega=omega_grid[None, :]))
     sigma = _sigma(sign_convention)
     u = _factor_u(params, model)
-    w = 2.0 * params.d * params.V
-    g = params.gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        p3, *rest = _cubic_coefficients(delta_grid[:, None], omega_grid[None, :] ** 2,
-                                        g, w, u, sigma)
-    if not all(np.isfinite(c).all() for c in (p3, *rest)):
-        raise ValueError(f"{TOO_LARGE}: the stationarity cubic's coefficients overflow float64")
+    g, w = p.gamma, 2.0 * p.d * p.V
+    p3, *rest = _cubic_coefficients(p.Delta, p.Omega ** 2, g, w, u, sigma)
     n, valid = _real_roots(p3, *np.broadcast_arrays(*rest))
-    D, O = delta_grid[:, None, None], omega_grid[None, :, None]
+    D, O = p.Delta[..., None], p.Omega[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = 0.5 * g * (u * n + 1.0)
         s_y = g * n / O
         s_x = -(D + w * n) * s_y / a
     driven = O != 0.0
     candidates = np.where(driven[..., None], np.stack([n, s_x, s_y], axis=-1), 0.0)
-    valid = np.where(driven, valid & (np.abs(a) >= 1e-12), np.arange(n.shape[-1]) == 0)
-    if not np.isfinite(candidates[valid]).all():
-        raise ValueError(f"{TOO_LARGE}: a fixed-point candidate overflows float64")
-    pd = _solve(candidates, valid, replace(params, Delta=D, Omega=O),
-                sign_convention, model, iters=30)
-    # a root outside the box may miss NEWTON_RESIDUAL by rounding alone
-    inside = valid & (_box_violation(candidates) <= BOUNDS_SLACK)
-    if np.any(inside.any(axis=-1) & np.isnan(pd.states[..., 0, 0])):
-        raise ValueError(f"{TOO_LARGE}: no fixed-point candidate of a cell gets its "
-                         f"residual below {NEWTON_RESIDUAL:g} in float64")
-    return pd
+    valid = np.where(driven, valid & (np.abs(a) >= 1e-12 * g), np.arange(n.shape[-1]) == 0)
+    # a root whose s_x or s_y overflows float64 lies far outside the box
+    valid &= np.isfinite(candidates).all(axis=-1)
+    return _solve(candidates, valid, replace(p, Delta=D, Omega=O), sign_convention, model,
+                  iters=30)
 
 
 def refine_critical_point(
@@ -445,7 +442,6 @@ def mf_oracle_check(
     identity.
     """
     d = half_coordination(lattice)
-    table = neighbor_table(lattice)
     n_sites = lattice.site_count
 
     s_z = 2.0 * state.n - 1.0
@@ -459,19 +455,10 @@ def mf_oracle_check(
     rho1 = 0.5 * (eye + state.s_x * sx + state.s_y * sy + s_z * sz)
     rho = product_density(rho1, n_sites)
 
-    h = driven_hamiltonian(lattice, table, params)
-    jumps = jump_operators(lattice, table, params, model)
-    drho = lindblad_rhs(rho, h, jumps)
+    drho = lindblad_rhs(rho, *build_system(lattice, params, model))
 
-    devs = []
-    mf = mf_rhs(
-        state,
-        MeanFieldParams(params.Delta, params.Omega, params.gamma, d, params.V),
-        sign_convention,
-        model,
-    )
-    for i, which in enumerate(("number", "sigma_x", "sigma_y")):
-        acc = sum(site_operator(lattice, k, which) for k in range(n_sites))
-        exact = np.trace(acc.toarray() @ drho).real / n_sites
-        devs.append(abs(exact - mf[i]))
-    return np.array(devs)
+    mf = mf_rhs(state, MeanFieldParams(params.Delta, params.Omega, params.gamma, d, params.V),
+                sign_convention, model)
+    exact = [np.trace(sum(site_operator(lattice, k, which) for k in range(n_sites)).toarray()
+                      @ drho).real / n_sites for which in ("number", "sigma_x", "sigma_y")]
+    return np.abs(np.array(exact) - mf)

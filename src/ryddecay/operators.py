@@ -9,7 +9,7 @@ from explicit (row, col) coordinate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,14 +132,7 @@ def driven_hamiltonian(
     """Rotating-frame driven Hamiltonian: detuning Delta per excitation, the
     interaction term, and a transverse drive Omega on every site. The lab
     frequency omega_a cancels exactly."""
-    rotated = ModelParams(
-        omega_a=params.Delta,
-        V=params.V,
-        gamma=params.gamma,
-        Omega=params.Omega,
-        Delta=params.Delta,
-    )
-    h = atomic_hamiltonian(lattice, table, rotated)
+    h = atomic_hamiltonian(lattice, table, replace(params, omega_a=params.Delta))
     if params.Omega != 0.0:
         for k in range(lattice.site_count):
             h = h + params.Omega * site_operator(lattice, k, "sigma_x")

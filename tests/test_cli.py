@@ -1,5 +1,6 @@
 import json
 import signal
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -128,6 +129,26 @@ def test_coherence_cross_check_is_not_cached(tmp_path, monkeypatch):
     run(tmp_path, "coherence", cfg)
     run(tmp_path, "coherence", cfg)
     assert len(calls) == 4
+
+
+def test_generator_parts_built_once_and_only_where_used(tmp_path, monkeypatch):
+    # the scan builds the model-independent L_Delta and L_Omega once and L0
+    # per model; the cross-check has no drive and never builds L_Omega
+    calls = []
+    for name in ("reduced_liouvillian", "reduced_detuning", "reduced_drive"):
+        real = getattr(master_equation, name)
+        spy = (lambda real, name: lambda *args: calls.append(name) or real(*args))(real, name)
+        for module in (master_equation, coherence):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    run(tmp_path, "steady-state", {
+        "N": 4, "delta_min": -6.0, "delta_max": 0.0, "n_delta": 2,
+        "omega_min": 1.0, "omega_max": 2.5, "n_omega": 2,
+    })
+    assert Counter(calls) == {"reduced_liouvillian": 2, "reduced_detuning": 1, "reduced_drive": 1}
+    calls.clear()
+    run(tmp_path, "coherence", {"V": 4.0, "t_max": 1.0, "n_times": 5, "verify_N": 4})
+    assert Counter(calls) == {"reduced_liouvillian": 2, "reduced_detuning": 2}
 
 
 FULL_SPACE_BUILDERS = ("liouvillian", "jump_operators", "driven_hamiltonian", "atomic_hamiltonian")
@@ -318,8 +339,7 @@ WRONG_TYPED = {
 }
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_wrong_typed_config_exits_1(tmp_path, data):
     command = data.draw(st.sampled_from(sorted(DEFAULTS)))
@@ -504,6 +524,22 @@ def test_meanfield_linear_stationarity(tmp_path):
     assert len(rows) == 45
     assert col(columns, rows, "stable_count") == [1.0] * 45
     assert col(columns, rows, "n_ss_branch2") == [None] * 45
+
+
+def test_meanfield_counts_are_scale_free(tmp_path):
+    # every rate x 1e-12: the absolute stability threshold -1e-9 once gave
+    # every cell of the small-scale run the count 0
+    grid = {"n_delta": 41, "n_omega": 41, "cut_n_delta": 11, "refine_critical": False}
+    tiny = {**grid, "gamma": 1e-12, "V": 1e-11, "delta_min": -3e-11, "delta_max": 1e-11,
+            "omega_min": 0.0, "omega_max": 1e-11, "cut_omega": 2.5e-12}
+    counts = []
+    for name, cfg in (("unit", grid), ("tiny", tiny)):
+        (tmp_path / name).mkdir()
+        run(tmp_path / name, "meanfield", cfg)
+        _, columns, rows = read_csv(tmp_path / name / "meanfield_phase_diagram.csv")
+        counts.append(col(columns, rows, "stable_count"))
+    assert counts[0].count(1.0) == 1663 and counts[0].count(2.0) == 18
+    assert counts[1] == counts[0]
 
 
 def test_meanfield_round_trip_bytes(tmp_path):

@@ -83,7 +83,7 @@ def lattice_specs(draw):
     return build_lattice(dim, extents, boundary)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(lattice_specs())
 def test_adjacency_symmetric(lat):
     table = neighbor_table(lat)
@@ -93,7 +93,7 @@ def test_adjacency_symmetric(lat):
             assert k in table.neighbors[m]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(lattice_specs())
 def test_periodic_coordination_and_bond_dedup(lat):
     table = neighbor_table(lat)
@@ -106,7 +106,7 @@ def test_periodic_coordination_and_bond_dedup(lat):
         assert a < b
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(lattice_specs())
 def test_index_round_trip_property(lat):
     for idx, coords in enumerate(all_coords(lat)):

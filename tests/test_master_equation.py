@@ -20,6 +20,8 @@ from ryddecay.master_equation import (
     liouvillian,
     product_density,
     propagate,
+    reduced_detuning,
+    reduced_drive,
     reduced_liouvillian,
     scan_steady_state,
     symmetry_orbits,
@@ -320,7 +322,9 @@ def test_reduced_generator_is_real_and_exact(lattice, model):
         (driven_hamiltonian(lattice, table, ModelParams(Delta=1.0)), ()),
         (driven_hamiltonian(lattice, table, ModelParams(Omega=1.0)), ()),
     ]
-    for part, (h, jumps) in zip(reduced_liouvillian(orbits, lattice, params, model), oracles):
+    parts = (reduced_liouvillian(orbits, lattice, params, model), reduced_detuning(orbits),
+             reduced_drive(orbits))
+    for part, (h, jumps) in zip(parts, oracles):
         assert not np.iscomplexobj(part.data)
         gen = liouvillian(h, jumps)
         assert abs(gen @ basis - basis @ part).max() <= 1e-12
@@ -355,7 +359,8 @@ def test_reduced_generator_beyond_the_oracle(lattice, dim):
     trace = orbits.row(orbits.diagonal)
     assert np.max(np.abs(trace.imag)) == 0.0
     for model in (SINGLE, COLLECTIVE):
-        for part in reduced_liouvillian(orbits, lattice, ModelParams(V=10.0), model):
+        for part in (reduced_liouvillian(orbits, lattice, ModelParams(V=10.0), model),
+                     reduced_detuning(orbits), reduced_drive(orbits)):
             assert part.shape == (dim, dim) and not np.iscomplexobj(part.data)
             assert np.max(np.abs(trace.real @ part)) <= 1e-12
 

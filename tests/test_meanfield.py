@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ryddecay.lattice import LatticeSpec
 from ryddecay.meanfield import (
@@ -159,36 +160,87 @@ def test_scan_rejects_non_finite_input(deltas, omegas, params):
         scan_phase_diagram(deltas, omegas, params)
 
 
-@pytest.mark.parametrize("deltas, omegas, V, message", [
-    ([-30.0], [1e150], 10.0, "candidate overflows"),
-    ([-1e150], [2.5], 10.0, "cannot resolve a fixed point's stability"),
-    ([-20000.0], [3250.0], 1e4, "residual below 1e-12"),
+@pytest.mark.parametrize("params", [
+    MeanFieldParams(-30.0, 1e150, gamma=1.0, d=1, V=10.0),
+    MeanFieldParams(-1e150, 2.5, gamma=1.0, d=1, V=10.0),
+    MeanFieldParams(0.0, 1e308, gamma=1.0, d=1, V=0.0),
+    MeanFieldParams(1e200, 1e200, gamma=1.0, d=1, V=1e200),
+    # only the collective rate 4 d gamma is large: the cubic would drop a degree
+    MeanFieldParams(-6.0, 2.5, gamma=1.0, d=10**180, V=0.0),
 ])
-def test_scan_rejects_inputs_beyond_float64(deltas, omegas, V, message):
-    # each of these cells used to come back with no stable fixed point
-    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=V)
-    with pytest.raises(ValueError, match=f"Delta, Omega or V too large: .*{message}"):
-        scan_phase_diagram(deltas, omegas, params)
+def test_rates_beyond_the_span_limit_rejected_on_both_routes(params):
+    # the first four once failed each with its own message (a candidate
+    # overflow, an unresolved stability, a residual overflow, no converged
+    # Newton seed); their largest rate is far above SPAN_LIMIT gamma
+    with pytest.raises(ValueError, match="Delta, Omega or V too large: the flow's largest rate"):
+        scan_phase_diagram([params.Delta], [params.Omega], params)
+    with pytest.raises(ValueError, match="Delta, Omega or V too large: the flow's largest rate"):
+        find_fixed_points(params)
 
 
-def test_residual_overflow_rejected():
-    with pytest.raises(ValueError, match="residual overflows"):
-        find_fixed_points(MeanFieldParams(Delta=0.0, Omega=1e308, gamma=1.0, d=1, V=0.0))
+def test_large_interaction_cell_keeps_its_root():
+    # an absolute residual of 1e-12 lost this cell's one in-box root to
+    # rounding; relative to the largest rate, 2e4, it converges
+    params = MeanFieldParams(-20000.0, 3250.0, gamma=1.0, d=1, V=1e4)
+    cell = scan_phase_diagram([params.Delta], [params.Omega], params)
+    assert cell.stable_count[0, 0] == 1
+    stable = cell.states[0, 0][cell.stable[0, 0] & cell.physical[0, 0]]
+    assert stable[:, 0] == pytest.approx([0.0294943], abs=1e-7)
+    oracle = [fp.state.n for fp in find_fixed_points(params) if fp.physical]
+    assert oracle == pytest.approx(stable[:, 0], abs=1e-9)
 
 
-def test_oracle_without_a_converged_seed_raises():
-    # at this scale no seed reaches the absolute Newton residual; an empty
-    # list would read as "no fixed point", which the verified flow always has
-    with pytest.raises(ValueError, match="no Newton seed converged"):
-        find_fixed_points(MeanFieldParams(Delta=1e200, Omega=1e200, gamma=1.0, d=1, V=1e200))
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e6, 1e10])
+def test_oracle_is_scale_free(scale):
+    params = MeanFieldParams(-6.0 * scale, 2.5 * scale, gamma=scale, d=1, V=10.0 * scale)
+    physical = [fp for fp in find_fixed_points(params) if fp.physical]
+    assert [fp.state.n for fp in physical] == pytest.approx([0.413643], abs=1e-6)
+    assert all(fp.stable for fp in physical)
+
+
+# tenths, so that every value and its power-of-two multiples are exact
+tenths = st.integers(-300, 300).map(lambda i: i / 10)
+
+
+@settings(max_examples=50)
+@given(k=st.integers(-40, 40), model=st.sampled_from([SINGLE, COLLECTIVE]),
+       convention=st.sampled_from([ORACLE_VERIFIED, AS_PRINTED]),
+       delta=tenths, omega=tenths.map(abs), gamma=st.integers(1, 40).map(lambda i: i / 10),
+       V=tenths.map(abs), d=st.integers(1, 3))
+def test_scan_is_bit_identical_under_power_of_two_scaling(k, model, convention, delta,
+                                                          omega, gamma, V, d):
+    # the flow is homogeneous of degree 1 in (Delta, Omega, gamma, V), and a
+    # power of two scales every input and s exactly
+    def outcome(factor):
+        params = MeanFieldParams(0.0, 0.0, gamma * factor, d, V * factor)
+        try:
+            pd = scan_phase_diagram((delta + np.linspace(-4.0, 4.0, 5)) * factor,
+                                    (omega + np.linspace(0.0, 2.0, 3)) * factor,
+                                    params, convention, model)
+        except ValueError as exc:
+            return str(exc)
+        return pd.states.tobytes(), pd.stable.tobytes(), pd.physical.tobytes()
+
+    assert outcome(2.0 ** k) == outcome(1.0)
+
+
+def test_stability_guard_fires_next_to_the_threshold_at_unit_scale():
+    # as printed, the undriven vacuum has the eigenvalue |Delta| - gamma/2,
+    # here -1e-9 gamma = STABLE_EIG_TOL gamma: rounding decides its sign
+    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=0.0)
+    with pytest.raises(ValueError, match="float64 cannot resolve a fixed point's stability"):
+        scan_phase_diagram([0.5 - 1e-9], [0.0], params, AS_PRINTED, SINGLE)
 
 
 def test_unphysical_root_may_miss_residual():
-    # p1 nearly cancels, so the one root is n = 363; it misses NEWTON_RESIDUAL
-    # by rounding and is dropped without an error, as it lies outside the box
+    # p1 nearly cancels, so the one root is n = 363, far outside the box;
+    # relative to the largest rate its residual converges, and it is kept
+    # as an unphysical root
     params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=0.0)
     cell = scan_phase_diagram([-14.0], [9.9], params, AS_PRINTED, SINGLE)
     assert cell.stable_count[0, 0] == 0
+    assert cell.states[0, 0, 0, 0] == pytest.approx(363.0)
+    assert not cell.physical[0, 0, 0]
 
 
 def test_vacuum_stability_depends_on_convention():

@@ -390,6 +390,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     # jumps per xi ("all" for the single model), per model and per CSV row
     jump_counts: dict[str, list[dict[str, int]]] = {m: [] for m in models}
     expm_cells: dict[str, list[dict]] = {m: [] for m in models}
+    evaluation: dict[str, Counter] = {m: Counter() for m in models}
     max_cond = 0.0
     for i, D in enumerate(deltas):
         for j, O in enumerate(omegas):
@@ -407,11 +408,14 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                 stats[m][(i, j)] = ens.window_statistics(tw)
                 jump_counts[m].append({"all" if xi is None else str(xi): n
                                        for xi, n in ens.jump_counts.items()})
+                evaluation[m].update(ens.evaluation)
                 max_cond = max(max_cond, ens.cond)
                 if not ens.cond <= COND_LIMIT:
                     expm_cells[m].append({"model": m, "Delta": float(D), "Omega": float(O)})
     propagator = {"cond_limit": COND_LIMIT, "max_cond": max_cond,
-                  "expm_cells": [cell for m in models for cell in expm_cells[m]]}
+                  "expm_cells": [cell for m in models for cell in expm_cells[m]],
+                  **{key: {m: evaluation[m][key] for m in models}
+                     for key in ("rows_evaluated", "samples_kept", "root_steps")}}
 
     def cell(i, j):
         n_s, e_s = stats.get(SINGLE, {}).get((i, j), (None, None))

@@ -106,6 +106,7 @@ class PhaseDiagram:
     sorted by n, then s_x, s_y, and NaN in the unused slots. stable marks
     the roots whose Jacobian eigenvalues all have real part below
     STABLE_EIG_TOL gamma; physical those inside the box (slack BOUNDS_SLACK).
+    Only for physical roots is stable checked to be resolved by float64.
     """
 
     states: np.ndarray
@@ -234,14 +235,16 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
         kept[:, j] &= ~np.any(kept[:, :j] & near, axis=-1)
 
     stable = np.zeros_like(kept)
+    physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
     jac = mf_jacobian(x, cells, sign_convention, model)[kept]
     eig = np.linalg.eigvals(jac)
     threshold = STABLE_EIG_TOL * params.gamma
-    if np.any(np.abs(eig.real - threshold)
-              <= EIG_ROUNDING * np.linalg.norm(jac, axis=(-2, -1))[:, None]):
+    # only the stability of physical roots reaches an output
+    unresolved = (np.abs(eig.real - threshold)
+                  <= EIG_ROUNDING * np.linalg.norm(jac, axis=(-2, -1))[:, None])
+    if np.any(unresolved[physical[kept]]):
         raise ValueError("float64 cannot resolve a fixed point's stability")
     stable[kept] = np.all(eig.real < threshold, axis=-1)
-    physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
 
     order = np.lexsort((x[..., 2], x[..., 1], x[..., 0], ~kept), axis=-1)
     x = np.where(kept[..., None], x, np.nan)
@@ -289,21 +292,33 @@ def _cubic_coefficients(D, omega2, g, w, u, sigma):
     return p3, p2, p1, -omega2
 
 
-def _real_roots(p3, p2, p1, p0) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of p3 n^3 + p2 n^2 + p1 n + p0 per cell (scalar p3), found
-    as np.roots finds them: eigenvalues of the companion matrix, dropping
-    those with |imag| >= 1e-9 (1 + max |root|). p3 = 0 (V = 0 with
-    single-atom decay) makes p2 = 0 too, leaving the root -p0 / p1 where
-    p1 != 0. Returns the roots (..., 3 or 1) and the mask of the real ones."""
-    if p3 == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (-p0 / p1)[..., None], (p1 != 0.0)[..., None]
-    companion = np.zeros(p0.shape + (3, 3))
-    companion[..., 0, :] = np.stack([-p2, -p1, -p0], axis=-1) / p3
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+def _real_roots(*coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of p_k n^k + ... + p_0 per cell (coefficients highest
+    degree first, broadcast together), found as np.roots finds them:
+    eigenvalues of the companion matrix, dropping those with |imag| >=
+    1e-9 (1 + max |root|). Where the companion matrix is not finite, as for
+    p3 = 0 (V = 0 with single-atom decay) or a subnormal p3 (V near 1e-160),
+    the cell's roots are those of the polynomial without its leading
+    coefficient: the roots dropped lie far outside the box. Returns the
+    roots (..., k) and the mask of the real ones."""
+    coeffs = np.stack(np.broadcast_arrays(*coefficients), axis=-1)
+    shape, k = coeffs.shape[:-1], coeffs.shape[-1] - 1
+    coeffs = coeffs.reshape(-1, k + 1)
+    roots, real = np.zeros((len(coeffs), k)), np.zeros((len(coeffs), k), bool)
+    if k == 0:
+        return roots.reshape(shape + (0,)), real.reshape(shape + (0,))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = -coeffs[:, 1:] / coeffs[:, :1]
+    finite = np.isfinite(top).all(axis=-1)
+    companion = np.zeros((np.count_nonzero(finite), k, k))
+    companion[:, 0, :] = top[finite]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
     r = np.linalg.eigvals(companion)
     scale = 1.0 + np.max(np.abs(r), axis=-1, keepdims=True)
-    return r.real, np.abs(r.imag) < 1e-9 * scale
+    roots[finite], real[finite] = r.real, np.abs(r.imag) < 1e-9 * scale
+    if not finite.all():
+        roots[~finite, :-1], real[~finite, :-1] = _real_roots(*coeffs[~finite, 1:].T)
+    return roots.reshape(shape + (k,)), real.reshape(shape + (k,))
 
 
 def scan_phase_diagram(
@@ -329,8 +344,7 @@ def scan_phase_diagram(
     sigma = _sigma(sign_convention)
     u = _factor_u(params, model)
     g, w = p.gamma, 2.0 * p.d * p.V
-    p3, *rest = _cubic_coefficients(p.Delta, p.Omega ** 2, g, w, u, sigma)
-    n, valid = _real_roots(p3, *np.broadcast_arrays(*rest))
+    n, valid = _real_roots(*_cubic_coefficients(p.Delta, p.Omega ** 2, g, w, u, sigma))
     D, O = p.Delta[..., None], p.Omega[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = 0.5 * g * (u * n + 1.0)
@@ -375,7 +389,14 @@ def refine_critical_point(
         p2_at_zero = _cubic_coefficients(0.0, omega2, g, w, u, sigma)[1]
         delta = -(p2_at_zero + 3.0 * p3 * n0) / ((1.0 + sigma) * w)
         p1 = _cubic_coefficients(delta, omega2, g, w, u, sigma)[2]
-        for root in (p1 - 3.0 * p3 * n0**2).roots():
+        coef = (p1 - 3.0 * p3 * n0**2).coef
+        # as in _real_roots: a leading coefficient that overflows the
+        # companion matrix (subnormal for V near 1e-160) only drops a root
+        # far outside (0, 1]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while len(coef) > 2 and not np.isfinite(coef[:-1] / coef[-1]).all():
+                coef = coef[:-1]
+        for root in np.polynomial.Polynomial(coef).roots():
             n = float(np.real(root))
             if abs(np.imag(root)) < 1e-9 and 0.0 < n <= 1.0:
                 found.append((float(delta(n)), float(np.sqrt(omega2(n)))))

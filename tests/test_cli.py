@@ -411,6 +411,20 @@ def test_trajectories_manifest_jump_counts(tmp_path):
     assert prop["expm_cells"] == [] and 1.0 <= prop["max_cond"] < COND_LIMIT
 
 
+def test_trajectories_evaluate_few_rows_per_sample(tmp_path):
+    # a stretch between jumps is evaluated in doubling chunks up to the
+    # jump, not on every remaining sample (about 15 rows per sample before)
+    cfg = {"N": 6, "delta_min": -6.0, "delta_max": -6.0, "n_delta": 1,
+           "omega_min": 10.0, "omega_max": 10.0, "n_omega": 1, "n_traj": 12}
+    run(tmp_path, "trajectories", cfg)
+    prop = json.loads((tmp_path / "trajectories_manifest.json").read_text())["no_jump_propagator"]
+    n_samples = len(np.union1d(np.linspace(0.0, 5.0, 51), master_equation.window_times(1.0)))
+    for model in ("single", "collective"):
+        assert prop["samples_kept"][model] == 12 * n_samples
+        assert 0 < prop["root_steps"][model] < prop["rows_evaluated"][model]
+        assert prop["rows_evaluated"][model] <= 4 * prop["samples_kept"][model]
+
+
 def test_trajectories_one_propagator_per_cell(tmp_path, monkeypatch):
     # H_eff does not depend on the model, so both models of a cell share
     # one eigendecomposition
@@ -540,6 +554,23 @@ def test_meanfield_counts_are_scale_free(tmp_path):
         counts.append(col(columns, rows, "stable_count"))
     assert counts[0].count(1.0) == 1663 and counts[0].count(2.0) == 18
     assert counts[1] == counts[0]
+
+
+def test_meanfield_subnormal_leading_coefficient(tmp_path):
+    # with single-atom decay the cubic's leading coefficient is (2dV/s)^2,
+    # subnormal at V = 1e-160, and its companion matrix overflowed
+    # (so did the cusp search's polynomial)
+    counts, cusps = [], []
+    for V in (0.0, 1e-160):
+        out = tmp_path / str(V)
+        out.mkdir()
+        run(out, "meanfield", {"model": "single", "V": V, "n_delta": 5, "n_omega": 5,
+                               "cut_n_delta": 11})
+        _, columns, rows = read_csv(out / "meanfield_phase_diagram.csv")
+        counts.append(col(columns, rows, "stable_count"))
+        cusps.append((out / "meanfield_critical_points.json").read_text())
+    assert counts[1] == counts[0] == [1.0] * 25
+    assert cusps[1] == cusps[0]
 
 
 def test_meanfield_round_trip_bytes(tmp_path):

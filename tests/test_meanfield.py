@@ -232,6 +232,17 @@ def test_stability_guard_fires_next_to_the_threshold_at_unit_scale():
         scan_phase_diagram([0.5 - 1e-9], [0.0], params, AS_PRINTED, SINGLE)
 
 
+def test_stability_of_unphysical_roots_is_not_checked():
+    # the root (n, s_x) = (-0.126, 117) has an eigenvalue of 5.9e-5 gamma,
+    # inside its rounding band 1e-4 gamma; no output uses its stability
+    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=2, V=1e7)
+    cell = scan_phase_diagram([-5e6], [2.25e6], params, AS_PRINTED, COLLECTIVE)
+    assert cell.stable_count[0, 0] == 1
+    roots = cell.states[0, 0][~np.isnan(cell.states[0, 0, :, 0])]
+    assert len(roots) == 2 and roots[0, 0] == pytest.approx(-0.1262, abs=1e-4)
+    assert not cell.physical[0, 0, 0]
+
+
 def test_unphysical_root_may_miss_residual():
     # p1 nearly cancels, so the one root is n = 363, far outside the box;
     # relative to the largest rate its residual converges, and it is kept

@@ -24,7 +24,9 @@ from ryddecay.operators import (
     excitation_count_vector,
     jump_operators,
 )
+from ryddecay.operators import JumpOperator
 from ryddecay.trajectories import (
+    JUMP_TIME_TOL,
     TrajectoryEnsembleResult,
     effective_hamiltonian,
     evolve_trajectory,
@@ -319,6 +321,63 @@ def test_undriven_jump_time_is_minus_log_u():
         assert abs(res.jumps[0].time + np.log(u)) < 1e-9
 
 
+def _first_jump_errors(h_eff, jumps, psi0, seeds, sample_times=None):
+    """|first jump time - brentq root of ||expm(-i H_eff tau) psi0||^2 - u|."""
+    from scipy.optimize import brentq
+
+    h = h_eff.toarray()
+    prop = no_jump_propagator(h_eff)
+    errors = []
+    for seed in seeds:
+        u = np.random.default_rng(seed).random()
+        res = evolve_trajectory(psi0, prop, jumps, 60.0, seed, sample_times)
+        t = res.jumps[0].time
+        ref = brentq(lambda tau: np.linalg.norm(expm(-1j * tau * h) @ psi0) ** 2 - u,
+                     0.0, t + 1.0, xtol=1e-15)
+        errors.append(abs(t - ref))
+    return np.array(errors), prop
+
+
+@pytest.mark.parametrize("delta, omega", [(-6.0, 10.0), (-30.0, 10.0), (-6.0, 2.5)])
+def test_first_jump_time_matches_brentq(delta, omega):
+    params = ModelParams(V=10.0, gamma=1.0, Omega=omega, Delta=delta)
+    h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
+    errors, _ = _first_jump_errors(h_eff, jumps, vacuum(4), range(30),
+                                   np.linspace(0.0, 60.0, 1801))
+    assert np.max(errors) < JUMP_TIME_TOL
+
+
+def test_first_jump_time_matches_brentq_at_exceptional_point():
+    lat = LatticeSpec(1, (1,), "open")
+    h_eff, jumps = _system(lat, ModelParams(gamma=1.0, Omega=0.25, Delta=0.0), SINGLE)
+    errors, prop = _first_jump_errors(h_eff, jumps, vacuum(1), range(30))
+    assert prop.vecs is None  # the expm route
+    assert np.max(errors) < JUMP_TIME_TOL
+
+
+@pytest.mark.parametrize("scale", [0.1, 3.0])
+def test_jump_time_search_survives_a_wrong_slope(scale):
+    # jumps that do not match H_eff give Newton a slope scale^2 times the
+    # true one: 100 times too small (steps leave the bracket) or 9 times too
+    # large (steps too short, and the last one under-reads the error 9 times)
+    params = ModelParams(V=10.0, gamma=1.0, Omega=10.0, Delta=-6.0)
+    h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
+    scaled = [JumpOperator(c.site, c.xi, scale * c.matrix) for c in jumps]
+    errors, _ = _first_jump_errors(h_eff, scaled, vacuum(4), range(5),
+                                   np.linspace(0.0, 60.0, 1801))
+    assert np.max(errors) < JUMP_TIME_TOL
+
+
+def test_no_jump_when_no_channel_can_fire():
+    # the norm crosses the threshold but every L_j psi vanishes: the search
+    # bisects on a zero slope, and the trajectory continues without jumps
+    params = ModelParams(V=10.0, gamma=1.0, Omega=10.0, Delta=-6.0)
+    h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
+    dark = [JumpOperator(c.site, c.xi, 0.0 * c.matrix) for c in jumps]
+    res = evolve_trajectory(vacuum(4), h_eff, dark, 5.0, 3, np.linspace(0.0, 5.0, 11))
+    assert res.jumps == [] and res.root_steps > 0
+
+
 def test_exceptional_point_falls_back_to_expm():
     # Delta = 0, Omega = gamma/4: the two eigenvectors of the single atom's
     # H_eff coalesce, and the eigenbasis is too ill-conditioned to trust
@@ -347,14 +406,17 @@ def test_jump_counts_match_logs_for_any_thread_count():
     serial = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4), threads=1, **kw)
     pooled = run_ensemble(CHAIN4, params, COLLECTIVE, vacuum(4), threads=2, **kw)
     h_eff, jumps = _system(CHAIN4, params, COLLECTIVE)
-    logged = Counter()
+    logged, rows, steps = Counter(), 0, 0
     for child in np.random.SeedSequence(5).spawn(10):
         res = evolve_trajectory(vacuum(4), h_eff, jumps, 2.0, np.random.default_rng(child),
                                 kw["sample_times"])
         logged.update(ev.xi for ev in res.jumps)
+        rows, steps = rows + res.rows_evaluated, steps + res.root_steps
     assert sum(logged.values()) > 0
     assert serial.jump_counts == dict(logged)
     assert pooled.jump_counts == serial.jump_counts
+    assert serial.evaluation == {"rows_evaluated": rows, "samples_kept": 50, "root_steps": steps}
+    assert pooled.evaluation == serial.evaluation
     assert serial.cond < 1e6
 
 

@@ -31,7 +31,13 @@ import numpy as np
 from . import __version__
 from .coherence import exact_mode_series, initial_coherence, mode_series
 from .lattice import build_lattice
-from .master_equation import PropagationStats, scan_steady_state, window_times
+from .master_equation import (
+    COND_LIMIT,
+    PropagationStats,
+    check_window,
+    scan_steady_state,
+    window_times,
+)
 from .meanfield import (
     MeanFieldParams,
     SIGN_CONVENTIONS,
@@ -40,7 +46,7 @@ from .meanfield import (
     scan_phase_diagram,
 )
 from .operators import COLLECTIVE, SINGLE, ModelParams, check_model
-from .trajectories import COND_LIMIT, run_ensemble
+from .trajectories import run_ensemble
 
 # no workflow steps in time; older configs and manifests still carry dt
 DEFAULT_DT = 1e-3
@@ -374,6 +380,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     models = _models(cfg)
     gamma = cfg["gamma"]
+    check_window(cfg["t_final"], gamma)
     tw = window_times(gamma)
     sample_times = np.union1d(np.linspace(0.0, cfg["t_final"], 51), tw)
     psi0 = np.zeros(1 << n_sites, dtype=complex)
@@ -526,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (trajectories)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (trajectories)")
+                       help="accepted for old configs; trajectories run in one process")
     return parser
 
 

@@ -8,28 +8,31 @@ COND_LIMIT). A stretch between jumps is evaluated on the sample grid in
 chunks of FIRST_CHUNK rows that double, up to the first sample at or below a
 uniform threshold r; the norm does not increase between jumps, so that
 sample and the one before it bracket the jump. Its time is the root of
-||psi(tau)||^2 - r, found to JUMP_TIME_TOL by Newton steps on single rows
-with the exact slope -sum_j ||L_j psi||^2, safeguarded by bisection; the
-channel is drawn by ||L_j psi||^2 at that time.
+||psi(tau)||^2 - r, found to JUMP_TIME_TOL by Newton steps with the exact
+slope -sum_j ||L_j psi||^2, safeguarded by bisection; the channel is drawn
+by ||L_j psi||^2 at that time, and only its L_j is applied. Each L_j^dag L_j
+is diagonal in both models, so ||L_j psi||^2 = |psi|^2 @ diag(L_j^dag L_j).
 
-Per-trajectory seeds are spawned from the master seed with
-numpy.random.SeedSequence, so trajectory i sees the same random stream no
-matter how the ensemble is scheduled; the merge reduces in trajectory-index
-order, making ensemble output bytes a function of (master_seed, n_traj)
-alone.
+One lockstep core, _evolve, runs every trajectory in one process: a batch of
+one for evolve_trajectory, of n_traj for run_ensemble. Each pass evaluates
+the next chunk of every trajectory still scanning and one Newton step of
+every trajectory still searching for its jump time, in products of at most
+BLOCK_ROWS rows. Per-trajectory seeds are spawned from the master seed with
+numpy.random.SeedSequence, so trajectory i draws the same thresholds and
+channels in any batch; ensemble output bytes are a function of
+(master_seed, n_traj) alone.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lattice import LatticeSpec, neighbor_table
+from .master_equation import COND_LIMIT
 from .operators import (
     ModelParams,
     check_model,
@@ -40,12 +43,10 @@ from .operators import (
 )
 
 JUMP_TIME_TOL = 1e-10
-# Largest cond(V) for which the eigenbasis is trusted. The N = 1 atom at
-# Delta = 0, Omega = gamma/4 is an exceptional point of H_eff; there cond(V)
-# reads about 9e7 and the closed form is off by 3.5e-9 from expm.
-COND_LIMIT = 1e6
 # rows of the first chunk of a stretch; each further chunk doubles
 FIRST_CHUNK = 4
+# most state rows in one product, so memory does not grow with the batch
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -107,14 +108,22 @@ class NoJumpPropagator:
     vecs: np.ndarray | None = None
     inv: np.ndarray | None = None
 
-    def __call__(self, psi: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """The states at offsets taus from psi, one row per offset."""
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """What rows propagates: V^-1 psi, or psi itself on the expm route."""
+        return psi if self.vecs is None else self.inv @ psi
+
+    def rows(self, coefs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """The state at offset taus[r] from coefficient row coefs[r], per row."""
         if self.vecs is None:
             from scipy.linalg import expm
 
-            return np.array([expm(-1j * tau * self.h) @ psi for tau in taus])
-        phases = np.exp(-1j * np.multiply.outer(taus, self.lam))
-        return (phases * (self.inv @ psi)) @ self.vecs.T
+            return np.array([expm(-1j * tau * self.h) @ c for c, tau in zip(coefs, taus)])
+        phases = np.exp(-1j * np.multiply.outer(taus, self.lam)) * coefs
+        if len(taus) == 1:
+            # OpenBLAS sends a one-row product down its matrix-vector path,
+            # whose last bits differ from those of a row of a larger batch
+            return (np.repeat(phases, 2, axis=0) @ self.vecs.T)[:1]
+        return phases @ self.vecs.T
 
 
 def no_jump_propagator(h_eff) -> NoJumpPropagator:
@@ -127,62 +136,128 @@ def no_jump_propagator(h_eff) -> NoJumpPropagator:
     return NoJumpPropagator(h, cond, lam, vecs, np.linalg.inv(vecs))
 
 
-def _norm2(psi):
-    return float(np.real(np.vdot(psi, psi)))
+def _weight_table(jumps) -> np.ndarray:
+    """diag(L_j^dag L_j), one column per channel, so that the weights of a
+    state are ||L_j psi||^2 = |psi|^2 @ table. That needs L_j^dag L_j
+    diagonal, which holds when no row of L_j has two non-zeros."""
+    columns = []
+    for c in jumps:
+        m = c.matrix.tocsr()
+        if np.any(np.diff(m.indptr) > 1):
+            raise ValueError(f"the jump at site {c.site}, xi {c.xi} has two non-zeros in a row")
+        columns.append(np.bincount(m.indices, np.abs(m.data) ** 2, minlength=m.shape[1]))
+    return np.column_stack(columns)
 
 
-@dataclass
-class JumpChannels:
-    """The jump operators stacked into one sparse matrix, whose one product
-    gives every L_j psi; built once per ensemble by run_ensemble."""
+def _evolve(prop, jumps, psi0, t_final, sample_times, rngs, obs) -> list[TrajectoryResult]:
+    """One trajectory per generator in rngs, all advanced in lockstep."""
+    times = np.asarray(sample_times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise ValueError("sample times must be a non-empty list")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must be strictly increasing")
+    if not (times[0] >= 0.0 and times[-1] <= t_final + 1e-12):
+        raise ValueError(f"sample times must lie within [0, t_final = {t_final}], "
+                         f"got [{times[0]}, {times[-1]}]")
+    psi0 = np.asarray(psi0, dtype=complex)
+    nrm = np.sqrt(np.real(np.vdot(psi0, psi0)))
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError("psi0 must be normalized")
+    table = _weight_table(jumps)
+    rate = table.sum(axis=1)  # minus the slope of ||psi||^2, per |psi_i|^2
+    obs = np.zeros(len(psi0)) if obs is None else obs
+    # jumps are looked for up to t_final, also past the last sample
+    grid = times if times[-1] >= t_final - 1e-12 else np.append(times, t_final)
 
-    stacked: sp.csr_matrix
-    labels: list[tuple[int, int | None]]  # (site, xi) per channel
+    n = len(rngs)
+    coefs = np.tile(prop.coefficients(psi0 / nrm), (n, 1))
+    thr = np.array([rng.random() for rng in rngs])
+    t0, lo, hi, tau, last = (np.zeros(n) for _ in range(5))
+    n2_lo = np.ones(n)  # lo: latest offset known above the threshold
+    ptr = np.zeros(n, dtype=int)  # first grid point not yet reached
+    chunk = np.full(n, FIRST_CHUNK)
+    searching = np.zeros(n, dtype=bool)
+    evaluated, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    values = np.zeros((n, len(times)))
+    logs: list[list[JumpEvent]] = [[] for _ in range(n)]
 
-    @classmethod
-    def of(cls, jumps) -> JumpChannels:
-        jumps = list(jumps)
-        return cls(sp.vstack([c.matrix for c in jumps]).tocsr(), [(c.site, c.xi) for c in jumps])
-
-    def amplitudes(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L_j psi per channel (rows) and their squared norms."""
-        amps = (self.stacked @ psi).reshape(len(self.labels), -1)
-        return amps, np.sum(np.abs(amps) ** 2, axis=1)
-
-
-def _jump_time(prop, psi, channels, threshold, lo, f_lo, hi, f_hi):
-    """Root of f(tau) = ||psi(tau)||^2 - threshold in (lo, hi], where f_lo > 0
-    >= f_hi, to JUMP_TIME_TOL.
-
-    Newton steps start from linear interpolation and use the exact slope
-    f' = -sum_j ||L_j psi(tau)||^2. A step is replaced by bisection when it
-    leaves the bracket, when the slope is not negative (a dark state, or
-    jumps that do not match H_eff) or when it does not halve the step
-    before it, so the search always ends: once a Newton step is below
-    JUMP_TIME_TOL / 100 (tau is then off by about that step) or the bracket
-    below JUMP_TIME_TOL. With jumps that do not match H_eff the first
-    ending trusts a wrong slope, and tau's error grows by the factor the
-    slope is off. Returns tau, psi(tau), the L_j psi(tau) with their
-    squared norms, and the number of steps.
-    """
-    tau = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-    last = hi - lo
-    steps = 0
-    while True:
-        psi_at = prop(psi, np.array([tau]))[0]
-        amps, weights = channels.amplitudes(psi_at)
-        steps += 1
-        f, slope = _norm2(psi_at) - threshold, -weights.sum()
-        if f > 0.0:
-            lo = tau
+    def jump(i, psi_at, p2, n2):
+        t0[i] += tau[i]
+        lo[i], n2_lo[i], chunk[i], searching[i] = 0.0, 1.0, FIRST_CHUNK, False
+        weights = p2 @ table
+        total = weights.sum()
+        if total <= 0.0:
+            # no channel can fire: continue without jumps
+            psi, thr[i] = psi_at / np.sqrt(n2), -np.inf
         else:
-            hi = tau
-        step = f / slope if slope < 0.0 else np.inf
-        if abs(step) <= 0.01 * JUMP_TIME_TOL or hi - lo <= JUMP_TIME_TOL:
-            return tau, psi_at, amps, weights, steps
-        if not (lo < tau - step < hi and abs(step) <= 0.5 * last):
-            step = tau - 0.5 * (lo + hi)
-        tau, last = tau - step, abs(step)
+            j = int(rngs[i].choice(len(weights), p=weights / total))
+            logs[i].append(JumpEvent(float(t0[i]), jumps[j].site, jumps[j].xi))
+            psi, thr[i] = jumps[j].matrix @ psi_at / np.sqrt(weights[j]), rngs[i].random()
+        coefs[i] = prop.coefficients(psi)
+
+    while True:
+        scan = np.flatnonzero(~searching & (ptr < len(grid)))
+        if scan.size:
+            # the next chunk of every scanning trajectory, as one list of rows
+            lens = np.minimum(ptr[scan] + chunk[scan], len(grid)) - ptr[scan]
+            starts = np.cumsum(lens) - lens
+            owner = np.repeat(scan, lens)
+            local = np.arange(lens.sum()) - np.repeat(starts, lens)
+            at = ptr[owner] + local
+            n2, dens = np.empty(len(at)), np.empty(len(at))
+            for b in range(0, len(at), BLOCK_ROWS):
+                part = slice(b, b + BLOCK_ROWS)
+                p2 = np.abs(prop.rows(coefs[owner[part]], grid[at[part]] - t0[owner[part]])) ** 2
+                # per-row sums: a sample's bits do not depend on the batch
+                n2[part] = np.sum(p2, axis=1)
+                dens[part] = np.sum(p2 * obs, axis=1) / n2[part]
+            evaluated[scan] += lens
+            # rows before the first at or below the threshold, per trajectory
+            first = np.where(n2 <= thr[owner], local, np.repeat(lens, lens))
+            reached = np.minimum.reduceat(first, starts)
+            kept = (local < np.repeat(reached, lens)) & (at < len(times))
+            values[owner[kept], at[kept]] = dens[kept]
+            moved = reached > 0
+            row, k = (starts + reached - 1)[moved], scan[moved]
+            lo[k], n2_lo[k] = grid[at[row]] - t0[k], n2[row]
+            crossed = reached < lens
+            row, k = (starts + reached)[crossed], scan[crossed]
+            # the norm crosses the threshold once, in (lo, hi]
+            hi[k] = grid[at[row]] - t0[k]
+            f_lo, f_hi = n2_lo[k] - thr[k], n2[row] - thr[k]
+            tau[k] = lo[k] + (hi[k] - lo[k]) * f_lo / (f_lo - f_hi)
+            last[k] = hi[k] - lo[k]
+            searching[k] = True
+            ptr[scan] += reached
+            chunk[scan[~crossed]] *= 2
+        search = np.flatnonzero(searching)
+        if not scan.size and not search.size:
+            break
+        # one Newton step of every search; bisection replaces a step that
+        # leaves the bracket, has no negative slope (a dark state, or jumps
+        # that do not match H_eff) or does not halve the step before it. A
+        # search ends once a step is below JUMP_TIME_TOL / 100 (with jumps
+        # that do not match H_eff, tau is then off by the slope's factor) or
+        # the bracket below JUMP_TIME_TOL.
+        for b in range(0, len(search), BLOCK_ROWS):
+            k = search[b:b + BLOCK_ROWS]
+            t = tau[k]
+            states = prop.rows(coefs[k], t)
+            p2 = np.abs(states) ** 2
+            n2 = np.sum(p2, axis=1)
+            slope = -np.sum(p2 * rate, axis=1)
+            f = n2 - thr[k]
+            t_lo, t_hi = np.where(f > 0.0, t, lo[k]), np.where(f > 0.0, hi[k], t)
+            step = np.divide(f, slope, out=np.full(len(k), np.inf), where=slope < 0.0)
+            done = (np.abs(step) <= 0.01 * JUMP_TIME_TOL) | (t_hi - t_lo <= JUMP_TIME_TOL)
+            keep = (t_lo < t - step) & (t - step < t_hi) & (np.abs(step) <= 0.5 * last[k])
+            step = np.where(keep, step, t - 0.5 * (t_lo + t_hi))
+            lo[k], hi[k], tau[k], last[k] = t_lo, t_hi, np.where(done, t, t - step), np.abs(step)
+            evaluated[k], steps[k] = evaluated[k] + 1, steps[k] + 1
+            for r in np.flatnonzero(done):
+                jump(k[r], states[r], p2[r], n2[r])
+    return [TrajectoryResult(times, values[i], logs[i], int(evaluated[i]), int(steps[i]))
+            for i in range(n)]
 
 
 def evolve_trajectory(
@@ -194,89 +269,19 @@ def evolve_trajectory(
     sample_times=None,
     observable_diag: np.ndarray | None = None,
 ) -> TrajectoryResult:
-    """One quantum-jump trajectory with observable samples on a fixed grid.
+    """One quantum-jump trajectory with observable samples on a fixed grid:
+    the lockstep core on a batch of one.
 
-    h_eff is the effective Hamiltonian or its NoJumpPropagator, and jumps
-    the jump operators or their JumpChannels; run_ensemble shares both
-    among its trajectories.
+    h_eff is the effective Hamiltonian or its NoJumpPropagator.
     observable_diag is the diagonal of the sampled observable in the
     computational basis (defaults to nothing; pass excitation density /
     use run_ensemble for the standard protocol). Samples are taken from the
-    normalized state.
+    normalized state; sample_times defaults to [t_final].
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    nrm = np.sqrt(_norm2(psi))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError("psi0 must be normalized")
-    psi /= nrm
-    if sample_times is None:
-        sample_times = np.array([t_final])
-    sample_times = np.asarray(sample_times, dtype=float)
-    if np.any(np.diff(sample_times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    if sample_times[-1] > t_final + 1e-12:
-        raise ValueError("sample times must lie within [0, t_final]")
-
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     prop = h_eff if isinstance(h_eff, NoJumpPropagator) else no_jump_propagator(h_eff)
-    channels = jumps if isinstance(jumps, JumpChannels) else JumpChannels.of(jumps)
-
-    # jumps are looked for up to t_final, also past the last sample
-    grid = sample_times
-    if grid[-1] < t_final - 1e-12:
-        grid = np.append(grid, t_final)
-    values = np.zeros(len(sample_times))
-    jump_log: list[JumpEvent] = []
-    threshold = rng.random()
-    t0 = 0.0
-    lo, n2_lo = 0.0, 1.0  # latest offset known above the threshold, and its norm^2
-    ptr = 0  # first grid point not yet reached
-    chunk = FIRST_CHUNK
-    rows = root_steps = 0
-    while ptr < len(grid):
-        end = min(ptr + chunk, len(grid))
-        states = prop(psi, grid[ptr:end] - t0)
-        rows += end - ptr
-        p2 = np.abs(states) ** 2
-        n2 = np.sum(p2, axis=1)
-        below = np.flatnonzero(n2 <= threshold)
-        reached = int(below[0]) if below.size else end - ptr
-        stop = min(ptr + reached, len(sample_times))
-        if observable_diag is not None and stop > ptr:
-            # per-row sums: a sample's bits do not depend on the chunk size
-            values[ptr:stop] = np.sum(p2[: stop - ptr] * observable_diag, axis=1) / n2[: stop - ptr]
-        if reached:
-            lo, n2_lo = grid[ptr + reached - 1] - t0, n2[reached - 1]
-        if not below.size:
-            ptr, chunk = end, 2 * chunk
-            continue
-        # the norm crosses the threshold once, in (lo, hi]
-        hi = grid[ptr + reached] - t0
-        tau, psi_at, amps, weights, steps = _jump_time(
-            prop, psi, channels, threshold, lo, n2_lo - threshold, hi, n2[reached] - threshold)
-        rows += steps
-        root_steps += steps
-        t0 += tau
-        ptr += reached
-        lo, n2_lo, chunk = 0.0, 1.0, FIRST_CHUNK
-        total = weights.sum()
-        if total <= 0.0:
-            # no channel can fire: continue without jumps
-            psi = psi_at / np.sqrt(_norm2(psi_at))
-            threshold = -np.inf
-            continue
-        j = int(rng.choice(len(weights), p=weights / total))
-        jump_log.append(JumpEvent(t0, *channels.labels[j]))
-        psi = amps[j] / np.sqrt(weights[j])
-        threshold = rng.random()
-    return TrajectoryResult(sample_times, values, jump_log, rows, root_steps)
-
-
-def _run_one(args):
-    child, psi0, prop, channels, t_final, sample_times, obs = args
-    rng = np.random.default_rng(child)
-    res = evolve_trajectory(psi0, prop, channels, t_final, rng, sample_times, obs)
-    return res.values, [ev.xi for ev in res.jumps], (res.rows_evaluated, res.root_steps)
+    sample_times = [t_final] if sample_times is None else sample_times
+    return _evolve(prop, list(jumps), psi0, t_final, sample_times, [rng], observable_diag)[0]
 
 
 def run_ensemble(
@@ -291,7 +296,9 @@ def run_ensemble(
     threads: int = 1,
     propagator: NoJumpPropagator | None = None,
 ) -> TrajectoryEnsembleResult:
-    """Ensemble of independent trajectories with deterministic child seeds.
+    """Ensemble of independent trajectories with deterministic child seeds,
+    all advanced together by the lockstep core in this process; threads is
+    accepted for old callers and starts nothing.
 
     propagator is the NoJumpPropagator of the cell's H_eff, built here when
     not given. H_eff does not depend on the model, so the one returned in
@@ -306,37 +313,25 @@ def run_ensemble(
         h = driven_hamiltonian(lattice, table, params)
         propagator = no_jump_propagator(effective_hamiltonian(h, jumps))
     obs = excitation_count_vector(lattice) / lattice.site_count
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_final, 51)
-    sample_times = np.asarray(sample_times, dtype=float)
-
-    channels = JumpChannels.of(jumps)
-    children = np.random.SeedSequence(master_seed).spawn(n_traj)
-    tasks = [(child, psi0, propagator, channels, t_final, sample_times, obs) for child in children]
-    workers = min(threads, n_traj, os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_run_one(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=8))
-    # reduce in trajectory-index order: byte-identical for any scheduling
-    samples = np.array([values for values, _, _ in results])
-    jump_counts = Counter(xi for _, xis, _ in results for xi in xis)
-    rows = sum(counts[0] for _, _, counts in results)
-    steps = sum(counts[1] for _, _, counts in results)
+    sample_times = np.linspace(0.0, t_final, 51) if sample_times is None else sample_times
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(master_seed).spawn(n_traj)]
+    results = _evolve(propagator, jumps, psi0, t_final, sample_times, rngs, obs)
+    samples = np.array([res.values for res in results])
     mean = samples.mean(axis=0)
     if n_traj > 1:
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_traj)
     else:
         stderr = np.zeros_like(mean)
     return TrajectoryEnsembleResult(
-        times=sample_times,
+        times=results[0].times,
         mean=mean,
         stderr=stderr,
         n_traj=n_traj,
         master_seed=master_seed,
         samples=samples,
-        jump_counts=jump_counts,
+        jump_counts=Counter(ev.xi for res in results for ev in res.jumps),
         propagator=propagator,
-        evaluation={"rows_evaluated": rows, "samples_kept": samples.size, "root_steps": steps},
+        evaluation={"rows_evaluated": sum(res.rows_evaluated for res in results),
+                    "samples_kept": samples.size,
+                    "root_steps": sum(res.root_steps for res in results)},
     )

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ryddecay
 from ryddecay import cli, coherence, master_equation, operators, trajectories
 from ryddecay.cli import DEFAULTS, NONE_DEFAULT_TYPES, POSITIVE_KEYS, _contrast, _fmt, main
-from ryddecay.trajectories import COND_LIMIT
+from ryddecay.master_equation import COND_LIMIT
 
 
 def read_csv(path):
@@ -317,6 +317,8 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     ("steady-state", {"V": 1e200}, "numerical overflow"),
     ("meanfield", {"delta_min": -1e150}, "Delta, Omega or V too large"),
     ("meanfield", {"omega_max": 1e150}, "Delta, Omega or V too large"),
+    ("trajectories", {"gamma": 0.5}, "t_final must cover the averaging window"),
+    ("trajectories", {"t_final": 4.0}, "t_final must cover the averaging window"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):
@@ -409,6 +411,18 @@ def test_trajectories_manifest_jump_counts(tmp_path):
     assert not any("jump" in c for c in columns)
     prop = manifest["no_jump_propagator"]
     assert prop["expm_cells"] == [] and 1.0 <= prop["max_cond"] < COND_LIMIT
+
+
+def test_trajectories_expm_cells_listed(tmp_path):
+    # the N = 1 atom at Delta = 0, Omega = gamma/4 is an exceptional point of
+    # H_eff (cond(V) about 9e7), so both models take the expm route
+    cfg = {"N": 1, "boundary": "open", "delta_min": 0.0, "delta_max": 0.0, "n_delta": 1,
+           "omega_min": 0.25, "omega_max": 0.25, "n_omega": 1, "n_traj": 2}
+    run(tmp_path, "trajectories", cfg)
+    prop = json.loads((tmp_path / "trajectories_manifest.json").read_text())["no_jump_propagator"]
+    assert prop["max_cond"] > COND_LIMIT
+    assert prop["expm_cells"] == [{"model": m, "Delta": 0.0, "Omega": 0.25}
+                                  for m in ("single", "collective")]
 
 
 def test_trajectories_evaluate_few_rows_per_sample(tmp_path):

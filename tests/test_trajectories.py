@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import ryddecay
@@ -437,14 +438,66 @@ def test_shared_propagator_gives_the_same_ensemble():
 
 
 def test_cli_import_leaves_out_dense_linalg_and_optimize():
+    # nor a process pool: trajectories run in one process. The bare
+    # concurrent.futures package is loaded by scipy.sparse (via numpy.testing)
     src = str(Path(ryddecay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, ryddecay.cli; "
-         "print([m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.integrate') "
-         "if m in sys.modules])"],
+         "print([m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.integrate', "
+         "'concurrent.futures.process', 'multiprocessing') if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("times, message", [
+    ([], "non-empty"),
+    ([-1.0, 0.5], "within"),
+    ([0.5, 0.5], "increasing"),
+    ([0.5, 1.5], "within"),
+])
+def test_sample_grid_rejected_by_both_entries(times, message):
+    # run_ensemble and evolve_trajectory share one check: a sample before 0
+    # would be back-propagated, an empty grid has no last sample
+    params = ModelParams(V=10.0, gamma=1.0, Omega=2.5, Delta=-6.0)
+    h_eff, jumps = _system(CHAIN4, params, SINGLE)
+    with pytest.raises(ValueError, match=message):
+        evolve_trajectory(vacuum(4), h_eff, jumps, 1.0, sample_times=np.array(times))
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(CHAIN4, params, SINGLE, vacuum(4), n_traj=2, master_seed=1,
+                     t_final=1.0, sample_times=np.array(times))
+
+
+def test_jumps_without_diagonal_weights_rejected():
+    # the weights ||L_j psi||^2 = |psi|^2 @ diag(L_j^dag L_j) need L_j^dag L_j
+    # diagonal, which a row with two non-zeros breaks
+    lat = LatticeSpec(1, (1,), "open")
+    h_eff, _ = _system(lat, ModelParams(gamma=1.0), SINGLE)
+    mixing = [JumpOperator(0, None, sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])))]
+    with pytest.raises(ValueError, match="two non-zeros"):
+        evolve_trajectory(up_state(1), h_eff, mixing, 1.0)
+
+
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+def test_trajectory_samples_alone_match_ensembles(model):
+    # the lockstep core pads one-row products, so a trajectory run alone and
+    # inside ensembles of 7 and 40 takes the same matrix-matrix path (seen
+    # bit-identical for all 40 at N = 3, 4, 6 and 8)
+    params = ModelParams(V=10.0, gamma=1.0, Omega=10.0, Delta=-6.0)
+    ts = np.linspace(0.0, 5.0, 51)
+    big = run_ensemble(CHAIN4, params, model, vacuum(4), n_traj=40, master_seed=5,
+                       sample_times=ts)
+    small = run_ensemble(CHAIN4, params, model, vacuum(4), n_traj=7, master_seed=5,
+                         sample_times=ts, propagator=big.propagator)
+    _, jumps = _system(CHAIN4, params, model)
+    obs = excitation_count_vector(CHAIN4) / 4
+    for i, child in enumerate(np.random.SeedSequence(5).spawn(40)):
+        alone = evolve_trajectory(vacuum(4), big.propagator, jumps, 5.0,
+                                  np.random.default_rng(child), ts, obs).values
+        assert np.max(np.abs(alone - big.samples[i])) < 1e-13
+        if i < 7:
+            assert np.max(np.abs(alone - small.samples[i])) < 1e-13
+    assert sum(big.jump_counts.values()) > 100

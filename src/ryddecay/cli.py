@@ -7,13 +7,13 @@ Carlo), meanfield (phase diagram, bistable cut, critical point).
 
 All inputs are in units of gamma (gamma = 1 internally); times in 1/gamma.
 Parameters come from a JSON config file (--config), with built-in defaults
-underneath and --seed/--threads overriding on top. A JSON manifest written
-next to each CSV carries the fully resolved configuration; passing a
-manifest back via --config reproduces the CSV byte for byte.
+underneath and, for trajectories, --seed/--threads overriding on top. A JSON
+manifest written next to each CSV carries the fully resolved configuration;
+passing a manifest back via --config reproduces the CSV byte for byte.
 
 CSV layout: '#'-prefixed comment lines (metadata, then 'columns: ...'),
-followed by comma-delimited data rows, 17 significant digits, empty string
-for absent values.
+followed by comma-delimited data rows, 17 significant digits; non-finite
+and absent values are empty fields.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -33,6 +34,7 @@ from .coherence import exact_mode_series, initial_coherence, mode_series
 from .lattice import build_lattice
 from .master_equation import (
     COND_LIMIT,
+    MAX_SITES,
     PropagationStats,
     check_window,
     scan_steady_state,
@@ -50,9 +52,6 @@ from .trajectories import run_ensemble
 
 # no workflow steps in time; older configs and manifests still carry dt
 DEFAULT_DT = 1e-3
-# at N = 10 a steady-state cell holds the 4^N-entry orbit array and a reduced
-# generator of dimension 53,764 (10 s, 250 MiB peak); eig of H_eff takes 4.7 s
-MAX_SITES = 10
 # largest half-coordination whose initial coherence profile fits in float64
 MAX_COHERENCE_D = 511
 
@@ -132,22 +131,19 @@ TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true
               list: "a list"}
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if not np.isfinite(x):
-        return ""
-    return format(x, ".17g")
+def _fmt(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else ""
 
 
-def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
+def write_csv(path: Path, meta: dict, columns: list[str], data: np.ndarray) -> None:
+    """The '#' header, then one line per row of the 2-D float array data; a
+    non-finite value is written as an empty field."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, val in meta.items():
             fh.write(f"# {key}: {val}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in data.tolist():
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_manifest(path: Path, command: str, config: dict, outputs: list[str],
@@ -297,44 +293,34 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
                               **_propagation_block(stats)}
         columns += [f"dev_{m}" for m in cfg["models"]]
 
-    rows = []
-    for it, ti in enumerate(t):
-        row = [ti]
-        for m in (SINGLE, COLLECTIVE):
-            row.append(abs(per_model[m][:, it].sum()) if m in per_model else None)
-        for m in (SINGLE, COLLECTIVE):
-            if m in per_model:
-                row += list(np.abs(per_model[m][:, it]))
-            else:
-                row += [None] * n_modes
-        for m in cfg["models"]:
-            if m in dev:
-                row.append(dev[m][it])
-        rows.append(row)
+    absent = np.full((n_modes, len(t)), np.nan)
+    modes = [per_model.get(m, absent) for m in (SINGLE, COLLECTIVE)]
+    # each time's modes summed as one contiguous row, then Python's abs: an
+    # axis-0 sum and np.abs each move the last bit of some totals
+    totals = [[abs(z) for z in x.T.copy().sum(axis=1)] for x in modes]
+    data = np.column_stack([t, *totals, *(np.abs(x).T for x in modes), *dev.values()])
 
     csv_path = out_dir / "coherence.csv"
     write_csv(csv_path, {"command": "coherence", "d": d, "V": cfg["V"],
-                         "gamma": cfg["gamma"], "omega_a": cfg["omega_a"]}, columns, rows)
+                         "gamma": cfg["gamma"], "omega_a": cfg["omega_a"]}, columns, data)
     manifest = out_dir / "coherence_manifest.json"
     write_manifest(manifest, "coherence", cfg, [csv_path.name], time.monotonic() - t0,
                    extra={"cross_check": cross_check})
     return [csv_path, manifest]
 
 
-def _grid_rows(deltas, omegas, cell):
-    rows = []
-    for i, D in enumerate(deltas):
-        for j, O in enumerate(omegas):
-            rows.append([D, O] + cell(i, j))
-    return rows
+def _grid_rows(deltas, omegas, *fields) -> np.ndarray:
+    """One row (Delta, Omega, field values) per grid cell, Delta slowest;
+    each field has shape (len(deltas), len(omegas))."""
+    grid = np.meshgrid(deltas, omegas, indexing="ij")
+    return np.column_stack([np.ravel(a) for a in (*grid, *fields)])
 
 
 def _contrast(n_c, n_s):
-    if n_c is None or n_s is None or not np.isfinite(n_c) or not np.isfinite(n_s):
-        return None
-    if abs(n_s) < 1e-12:
-        return None
-    return (n_c - n_s) / n_s
+    """(n_c - n_s) / n_s, NaN where |n_s| < 1e-12 or either input is NaN."""
+    n_c, n_s = np.asarray(n_c, dtype=float), np.asarray(n_s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(n_s) < 1e-12, np.nan, (n_c - n_s) / n_s)
 
 
 def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
@@ -346,16 +332,12 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     scan = scan_steady_state(
         lat, mp, deltas, omegas, models=_models(cfg), t_final=cfg["t_final"],
     )
-
-    def cell(i, j):
-        n_s = scan.n_single[i, j]
-        n_c = scan.n_collective[i, j]
-        return [n_s, n_c, _contrast(n_c, n_s)]
-
     columns = ["Delta", "Omega", "n_ss_single", "n_ss_collective", "delta_n_ss"]
     csv_path = out_dir / "steady_state.csv"
     write_csv(csv_path, {"command": "steady-state", "N": n_sites, "V": cfg["V"],
-                         "gamma": cfg["gamma"]}, columns, _grid_rows(deltas, omegas, cell))
+                         "gamma": cfg["gamma"]}, columns,
+              _grid_rows(deltas, omegas, scan.n_single, scan.n_collective,
+                         _contrast(scan.n_collective, scan.n_single)))
     manifest = out_dir / "steady_state_manifest.json"
     write_manifest(
         manifest, "steady-state", cfg, [csv_path.name], time.monotonic() - t0,
@@ -393,7 +375,8 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
         len(models) * n_delta * n_omega, dtype=np.uint64
     )
 
-    stats: dict[str, dict[tuple[int, int], tuple[float, float]]] = {m: {} for m in models}
+    # window mean and stderr per model and cell; NaN (empty) for a model not run
+    stats = {m: np.full((2, n_delta, n_omega), np.nan) for m in (SINGLE, COLLECTIVE)}
     # jumps per xi ("all" for the single model), per model and per CSV row
     jump_counts: dict[str, list[dict[str, int]]] = {m: [] for m in models}
     expm_cells: dict[str, list[dict]] = {m: [] for m in models}
@@ -412,7 +395,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                     threads=cfg["threads"], propagator=prop,
                 )
                 prop = ens.propagator
-                stats[m][(i, j)] = ens.window_statistics(tw)
+                stats[m][:, i, j] = ens.window_statistics(tw)
                 jump_counts[m].append({"all" if xi is None else str(xi): n
                                        for xi, n in ens.jump_counts.items()})
                 evaluation[m].update(ens.evaluation)
@@ -423,19 +406,14 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                   "expm_cells": [cell for m in models for cell in expm_cells[m]],
                   **{key: {m: evaluation[m][key] for m in models}
                      for key in ("rows_evaluated", "samples_kept", "root_steps")}}
-
-    def cell(i, j):
-        n_s, e_s = stats.get(SINGLE, {}).get((i, j), (None, None))
-        n_c, e_c = stats.get(COLLECTIVE, {}).get((i, j), (None, None))
-        return [n_s, e_s, n_c, e_c, _contrast(n_c, n_s)]
-
+    (n_s, e_s), (n_c, e_c) = stats[SINGLE], stats[COLLECTIVE]
     columns = ["Delta", "Omega", "n_ss_single", "stderr_single",
                "n_ss_collective", "stderr_collective", "delta_n_ss"]
     csv_path = out_dir / "trajectories.csv"
     write_csv(csv_path, {"command": "trajectories", "N": n_sites, "V": cfg["V"],
                          "gamma": gamma, "n_traj": cfg["n_traj"],
                          "master_seed": cfg["seed"]}, columns,
-              _grid_rows(deltas, omegas, cell))
+              _grid_rows(deltas, omegas, n_s, e_s, n_c, e_c, _contrast(n_c, n_s)))
     manifest = out_dir / "trajectories_manifest.json"
     write_manifest(
         manifest, "trajectories", cfg, [csv_path.name], time.monotonic() - t0,
@@ -465,26 +443,25 @@ def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
     params = MeanFieldParams(0.0, 0.0, cfg["gamma"], int(cfg["d"]), cfg["V"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     pd = scan_phase_diagram(deltas, omegas, params, cfg["sign_convention"], cfg["model"])
-    counts = pd.stable_count
     low, high = _branches(pd, pd.stable & pd.physical)
     columns = ["Delta", "Omega", "stable_count", "n_ss_branch1", "n_ss_branch2"]
     pd_path = out_dir / "meanfield_phase_diagram.csv"
     write_csv(pd_path, {"command": "meanfield", "d": cfg["d"], "V": cfg["V"],
                         "gamma": cfg["gamma"], "sign_convention": cfg["sign_convention"],
                         "model": cfg["model"]}, columns,
-              _grid_rows(deltas, omegas, lambda i, j: [counts[i, j], low[i, j], high[i, j]]))
+              _grid_rows(deltas, omegas, pd.stable_count, low, high))
 
     cut_deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], int(cfg["cut_n_delta"]))
     cut = scan_phase_diagram(cut_deltas, [cfg["cut_omega"]], params,
                              cfg["sign_convention"], cfg["model"])
     stable_low, stable_high = _branches(cut, cut.stable & cut.physical)
     unstable_low, _ = _branches(cut, ~cut.stable & cut.physical)
-    cut_rows = [[D, stable_low[i, 0], stable_high[i, 0], unstable_low[i, 0]]
-                for i, D in enumerate(cut_deltas)]
     cut_path = out_dir / "meanfield_cut.csv"
+    cut_data = np.column_stack([cut_deltas, stable_low[:, 0], stable_high[:, 0],
+                                unstable_low[:, 0]])
     write_csv(cut_path, {"command": "meanfield", "cut_omega": cfg["cut_omega"],
                          "d": cfg["d"], "V": cfg["V"]},
-              ["Delta", "n_stable_low", "n_stable_high", "n_unstable"], cut_rows)
+              ["Delta", "n_stable_low", "n_stable_high", "n_unstable"], cut_data)
 
     crit: list[dict] = []
     crit_error = None
@@ -530,10 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON config (a manifest from a previous run also works)")
         p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (trajectories)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for old configs; trajectories run in one process")
+        if name == "trajectories":
+            p.add_argument("--seed", type=int, default=None, help="master seed")
+            p.add_argument("--threads", type=int, default=None,
+                           help="accepted for old configs; trajectories run in one process")
     return parser
 
 

@@ -5,7 +5,7 @@ assembles the generator on row-major vec(rho) once, and propagate evaluates
 exp(tL) vec(rho0) on an equally spaced sample grid with
 scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 488 (2011)). Every snapshot is checked for trace and hermiticity drift.
-Dimensions up to 2^10 (N <= 10 sites) are supported. integrate_exact
+Dimensions up to 2^MAX_SITES (N <= 10 sites) are supported. integrate_exact
 propagates one system this way; lindblad_rhs applies the generator as
 operator products and is kept as the independent oracle for liouvillian.
 
@@ -52,6 +52,11 @@ from .operators import (
 # exceptional point of H_eff; there cond(V) reads about 9e7 and the closed
 # form is off by 3.5e-9 from expm.
 COND_LIMIT = 1e6
+# Largest lattice of the exact layer and of the CLI's lattice workflows. At
+# N = 10 a steady-state cell holds the 4^N-entry orbit array and a reduced
+# generator of dimension 53,764 (10 s, 250 MiB peak); eig of the 2^N x 2^N
+# H_eff of a trajectory cell takes 4.7 s.
+MAX_SITES = 10
 WINDOW = (4.75, 5.00)
 WINDOW_POINTS = 100
 # trace/hermiticity drift that fails a propagation, and trace drift above
@@ -249,8 +254,8 @@ def integrate_exact(
     ValueError. See propagate for the drift checks.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape[0] > 1024:
-        raise ValueError("exact integration supports dim <= 1024 (N <= 10)")
+    if rho0.shape[0] > 1 << MAX_SITES:
+        raise ValueError(f"exact integration supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
     check_density_matrix(rho0)
     if sample_times is None:
         sample_times = np.array([t_final])
@@ -377,8 +382,8 @@ class Orbits:
 def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
     """The orbits of the pairs (i, j) under the lattice's site symmetries."""
     n = lattice.site_count
-    if n > 10:
-        raise ValueError("exact propagation supports dim <= 1024 (N <= 10)")
+    if n > MAX_SITES:
+        raise ValueError(f"exact propagation supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
     dim = 1 << n
     shifts = n - 1 - np.arange(n)  # site k is bit n - 1 - k
     bits = (np.arange(dim)[:, None] >> shifts) & 1

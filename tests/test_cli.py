@@ -106,6 +106,35 @@ def test_coherence_without_cross_check_has_empty_block(tmp_path):
     assert manifest["cross_check"] == {}
 
 
+def test_coherence_absent_model_columns_are_empty(tmp_path):
+    run(tmp_path, "coherence", {"models": ["collective"], "verify_N": 3, "t_max": 1.0,
+                                "n_times": 5})
+    _, columns, rows = read_csv(tmp_path / "coherence.csv")
+    assert [c for c in columns if c.startswith("dev_")] == ["dev_collective"]
+    for name in columns:
+        values = col(columns, rows, name)
+        if name.startswith("abs_X_single"):
+            assert values == [None] * 5, name
+        else:
+            assert None not in values, name
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_coherence_totals_are_bit_exact(tmp_path, d):
+    # each total is Python's abs of one time's modes summed in order; np.abs
+    # or a sum over the mode axis of the whole array moves the last bit
+    run(tmp_path, "coherence", {"d": d})
+    _, columns, rows = read_csv(tmp_path / "coherence.csv")
+    cfg = DEFAULTS["coherence"]
+    t = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    assert col(columns, rows, "t") == t.tolist()
+    for m in (operators.SINGLE, operators.COLLECTIVE):
+        state = coherence.initial_coherence(d, cfg["omega_a"], cfg["V"], cfg["gamma"], m)
+        modes = coherence.mode_series(state, t)
+        assert col(columns, rows, f"abs_X_{m}") == [abs(modes[:, i].sum())
+                                                    for i in range(len(t))]
+
+
 def test_coherence_round_trip_bytes(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -227,6 +256,30 @@ def test_trajectories_rejects_large_system(tmp_path, capsys):
     assert "N <= 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, csv_name, absent", [
+    ("steady-state", "steady_state.csv", ["n_ss_collective", "delta_n_ss"]),
+    ("trajectories", "trajectories.csv", ["n_ss_collective", "stderr_collective", "delta_n_ss"]),
+])
+def test_single_model_leaves_collective_fields_empty(tmp_path, command, csv_name, absent):
+    run(tmp_path, command, one_cell(command))
+    _, columns, rows = read_csv(tmp_path / csv_name)
+    row = dict(zip(columns, rows[0]))
+    assert row["Delta"] == -6.0 and row["Omega"] == 2.5
+    assert 0.0 < row["n_ss_single"] < 1.0
+    assert [name for name in columns if row[name] is None] == absent
+
+
+def test_steady_state_failed_cell_is_empty(tmp_path):
+    # at V = 1e10 the closed form's trace drift exceeds DRIFT_LIMIT in both models
+    run(tmp_path, "steady-state", {
+        "N": 3, "boundary": "open", "V": 1e10, "delta_min": -6.0, "delta_max": -6.0,
+        "n_delta": 1, "omega_min": 2.5, "omega_max": 2.5, "n_omega": 1,
+    })
+    assert (tmp_path / "steady_state.csv").read_text().splitlines()[-1] == "-6,2.5,,,"
+    errors = json.loads((tmp_path / "steady_state_manifest.json").read_text())["errors"]
+    assert [e.split()[0] for e in errors] == ["model=single", "model=collective"]
+
+
 TRAJ_CFG = {
     "N": 2, "boundary": "open", "V": 10.0,
     "delta_min": -6.0, "delta_max": -6.0, "n_delta": 1,
@@ -279,6 +332,16 @@ def test_bad_dt_rejected(tmp_path, capsys, command, dt):
     with deadline(30):
         run(tmp_path, command, one_cell(command, dt=dt), expect=1)
     assert "dt must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coherence", "steady-state", "meanfield"])
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_seed_and_threads_only_for_trajectories(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path), flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -360,8 +423,8 @@ def test_contrast():
     assert _contrast(0.4, 0.2) == pytest.approx(1.0)
     assert _contrast(0.3, 0.3) == 0.0
     assert _contrast(0.3, 0.1) == pytest.approx(2.0)
-    # a guarded n_s gives no value, written as an empty CSV field
-    assert _contrast(0.3, 0.0) is None
+    # a guarded n_s gives NaN, written as an empty CSV field
+    assert np.isnan(_contrast(0.3, 0.0))
     assert _fmt(_contrast(0.3, 0.0)) == ""
 
 

@@ -83,25 +83,6 @@ DEFAULTS: dict[str, dict] = {
         "t_final": 5.0,
         "dt": DEFAULT_DT,
     },
-    "trajectories": {
-        "N": 4,
-        "boundary": "periodic",
-        "V": 10.0,
-        "gamma": 1.0,
-        "omega_a": 0.0,
-        "delta_min": -30.0,
-        "delta_max": 10.0,
-        "n_delta": 9,
-        "omega_min": None,
-        "omega_max": 10.0,
-        "n_omega": 3,
-        "model": "both",
-        "n_traj": 300,
-        "seed": 7041,
-        "threads": 1,
-        "t_final": 5.0,
-        "dt": DEFAULT_DT,
-    },
     "meanfield": {
         "d": 1,
         "V": 10.0,
@@ -120,6 +101,9 @@ DEFAULTS: dict[str, dict] = {
         "critical_omega_start": 2.5,
     },
 }
+# the steady-state grid, with fewer cells for the Monte Carlo estimate
+DEFAULTS["trajectories"] = {**DEFAULTS["steady-state"], "n_delta": 9, "n_omega": 3,
+                            "n_traj": 300, "seed": 7041, "threads": 1}
 
 # the type of a non-None value for keys whose default is None
 NONE_DEFAULT_TYPES = {"verify_N": int, "omega_min": float}

@@ -22,8 +22,9 @@ undriven Hamiltonian, both dissipators and the site-averaged mode operators
 are all invariant. Its generator, start state and mode rows are assembled
 from the orbit representatives, so no 4^N-dimensional object is built, and
 it shares the steady-state scan's propagation core,
-master_equation._propagate_reduced; the full-space integrate_exact is its
-oracle in the tests.
+master_equation.propagate_reduced. The mode rows label each decay by
+operators.excited_neighbours, the count that also resolves the collective
+jump operators; the full-space integrate_exact is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from .lattice import LatticeSpec, half_coordination, neighbor_table
 from .master_equation import (
     Orbits,
     PropagationStats,
-    _excited_neighbours,
-    _propagate_reduced,
+    propagate_reduced,
     reduced_detuning,
     reduced_liouvillian,
     symmetry_orbits,
 )
-from .operators import COLLECTIVE, SINGLE, ModelParams, check_model
+from .operators import COLLECTIVE, SINGLE, ModelParams, check_model, excited_neighbours
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def exact_mode_series(
            + params.omega_a * reduced_detuning(orbits))
     # the half-inverted product state has every entry 2^-N
     v0 = orbits.coords(np.full(orbits.dim, 0.5 ** lattice.site_count))
-    states = _propagate_reduced(gen, v0, np.asarray(t_grid, dtype=float), orbits,
-                                PropagationStats() if stats is None else stats)
+    states = propagate_reduced(gen, v0, np.asarray(t_grid, dtype=float), orbits,
+                               PropagationStats() if stats is None else stats)
     return _mode_rows(orbits, lattice, d) @ states
 
 
@@ -170,7 +170,7 @@ def _mode_rows(orbits: Orbits, lattice: LatticeSpec, d: int) -> np.ndarray:
     raised = bits_i - bits_j
     one_up = (raised >= 0).all(axis=1) & (raised.sum(axis=1) == 1)
     site = raised.argmax(axis=1)
-    xi = _excited_neighbours(bits_j, neighbor_table(lattice))[np.arange(orbits.dim), site]
+    xi = excited_neighbours(bits_j, neighbor_table(lattice))[np.arange(orbits.dim), site]
     return np.stack([orbits.row(one_up & (xi == x)) for x in range(2 * d + 1)]) / lattice.site_count
 
 

@@ -19,8 +19,11 @@ in the span of the orbit sums of |i><j|. Pairing each orbit with its
 transpose makes the basis real for Hermitian rho (Orbits). The reduced
 generator is assembled directly, one row (i, j) per orbit representative
 (reduced_liouvillian), as are the start states, the trace row and the
-observable rows: neither workflow builds a 4^N-row or 4^N x 4^N object.
-_propagate_reduced is the one propagation core of both: it takes
+observable rows: neither workflow builds a 4^N-row or 4^N x 4^N object. The
+site occupations of i and j and their excited-neighbour and excited-bond
+counts come from operators, the one module that knows the basis encoding,
+so the reduced generator and its full-space oracle share them.
+propagate_reduced is the one propagation core of both: it takes
 numpy.linalg.eig of L_red, L_red = R diag(lam) R^-1, and evaluates
 v(t) = R diag(exp(lam t)) R^-1 v0 in closed form; above EIG_MAX_DIM or
 COND_LIMIT it runs expm_multiply on L_red instead. liouvillian, propagate
@@ -44,6 +47,10 @@ from .operators import (
     check_model,
     effective_hamiltonian,
     excitation_count_vector,
+    excited_bonds,
+    excited_neighbours,
+    occupations,
+    site_masks,
 )
 
 # Largest condition number of an eigenvector matrix for which the eigenbasis
@@ -63,7 +70,7 @@ WINDOW_POINTS = 100
 # which a snapshot is renormalized (and counted)
 DRIFT_LIMIT = 1e-6
 RENORM_THRESHOLD = 1e-12
-# Largest dimension of the symmetric subspace at which _propagate_reduced
+# Largest dimension of the symmetric subspace at which propagate_reduced
 # takes the eig closed form; above it expm_multiply on L_red is faster. The
 # switch is by dimension alone, so the steady-state scan and the coherence
 # cross-check take the same route on the same lattice. Per steady-state cell
@@ -345,10 +352,9 @@ class Orbits:
 
     def pair_bits(self) -> tuple[np.ndarray, np.ndarray]:
         """The site occupations of i and of j at each representative (i, j),
-        each of shape (dim, N), with site k (bit N - 1 - k) in column k."""
-        shifts = self.n_sites - 1 - np.arange(self.n_sites)
-        pairs = self.reps[:, None]
-        return (pairs >> (self.n_sites + shifts)) & 1, (pairs >> shifts) & 1
+        each of shape (dim, N), with site k in column k (occupations)."""
+        n = self.n_sites
+        return occupations(n, self.reps >> n), occupations(n, self.reps & ((1 << n) - 1))
 
     def coords(self, values: np.ndarray) -> np.ndarray:
         """B^dag vec(X) of a Hermitian invariant X, given X_ij at the
@@ -385,11 +391,10 @@ def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
     if n > MAX_SITES:
         raise ValueError(f"exact propagation supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
     dim = 1 << n
-    shifts = n - 1 - np.arange(n)  # site k is bit n - 1 - k
-    bits = (np.arange(dim)[:, None] >> shifts) & 1
+    bits, masks = occupations(n), site_masks(n)
     rep = None
     for images in _site_symmetries(lattice):
-        perm = bits @ (1 << shifts[images])  # site k's bit moved to site images[k]
+        perm = bits @ masks[images]  # site k's bit moved to site images[k]
         pairs = (perm[:, None] * dim + perm[None, :]).ravel()
         rep = pairs if rep is None else np.minimum(rep, pairs)
     reps, orbit = np.unique(rep, return_inverse=True)
@@ -404,12 +409,6 @@ def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
         (np.concatenate([own, paired]), np.concatenate([column, column[paired] + 1])),
     ), shape=(len(reps), len(reps)))
     return Orbits(n, reps, orbit, np.bincount(orbit), unitary)
-
-
-def _excited_neighbours(bits: np.ndarray, table) -> np.ndarray:
-    """The excited neighbours of every site, shape (len(bits), N), from the
-    site occupations bits of shape (len(bits), N)."""
-    return np.stack([bits[:, list(nb)].sum(axis=1) for nb in table.neighbors], axis=1)
 
 
 def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParams,
@@ -435,17 +434,15 @@ def reduced_liouvillian(orbits: Orbits, lattice: LatticeSpec, params: ModelParam
     dim = 1 << n
     bits_i, bits_j = orbits.pair_bits()
     i, j = orbits.reps[:, None] >> n, orbits.reps[:, None] & (dim - 1)
-    masks = 1 << (n - 1 - np.arange(n))
+    masks = site_masks(n)
     rows = np.arange(orbits.dim)
     site_rows = np.repeat(rows, n)
 
-    bonds = np.array(table.bond_list, dtype=int).reshape(-1, 2).T
     n_i, n_j = bits_i.sum(axis=1), bits_j.sum(axis=1)
     decays = (bits_i == 0) & (bits_j == 0)
     if model == COLLECTIVE:
-        decays &= _excited_neighbours(bits_i, table) == _excited_neighbours(bits_j, table)
-    excited_bonds = [(bits[:, bonds[0]] & bits[:, bonds[1]]).sum(axis=1) for bits in (bits_i, bits_j)]
-    diagonal = (-1j * params.V * (excited_bonds[0] - excited_bonds[1])
+        decays &= excited_neighbours(bits_i, table) == excited_neighbours(bits_j, table)
+    diagonal = (-1j * params.V * (excited_bonds(bits_i, table) - excited_bonds(bits_j, table))
                 - 0.5 * params.gamma * (n_i + n_j))
     return orbits.reduce(
         np.concatenate([rows, site_rows[decays.ravel()]]),
@@ -464,7 +461,7 @@ def reduced_drive(orbits: Orbits) -> sp.csr_matrix:
     """L_Omega of reduced_liouvillian, which holds most of L_red's non-zeros."""
     n, dim = orbits.n_sites, 1 << orbits.n_sites
     i, j = orbits.reps[:, None] >> n, orbits.reps[:, None] & (dim - 1)
-    masks = 1 << (n - 1 - np.arange(n))
+    masks = site_masks(n)
     site_rows = np.repeat(np.arange(orbits.dim), n)
     return orbits.reduce(
         np.concatenate([site_rows, site_rows]),
@@ -475,7 +472,7 @@ def reduced_drive(orbits: Orbits) -> sp.csr_matrix:
 @dataclass(kw_only=True)
 class PropagationStats:
     """Diagnostics of propagations in the symmetric subspace, accumulated by
-    _propagate_reduced over the runs (cells) of one caller: the subspace
+    propagate_reduced over the runs (cells) of one caller: the subspace
     dimension, the runs evaluated in closed form (eig) and by
     expm_multiply, the largest cond(R) met, the smallest Liouvillian gap of
     the eig runs (NaN without any), and the drift checks' largest drifts
@@ -524,8 +521,8 @@ def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, stats: Propa
     return states
 
 
-def _propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
-                       stats: PropagationStats) -> np.ndarray:
+def propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
+                      stats: PropagationStats) -> np.ndarray:
     """v(t) = exp(t L_red) v0 in the symmetric basis of orbits, one column
     per time.
 
@@ -573,7 +570,7 @@ def scan_steady_state(
     neither, so the reduced generator L_red(Delta, Omega) = L0 + Delta L_Delta
     + Omega L_Omega is assembled from the orbit representatives once per scan,
     L0 once per model, and each cell's window is propagated by
-    _propagate_reduced, whose drift checks apply to every window. A cell
+    propagate_reduced, whose drift checks apply to every window. A cell
     that fails them is left NaN and named in errors.
     """
     for m in models:
@@ -607,7 +604,7 @@ def scan_steady_state(
         for i, delta in enumerate(delta_values):
             for j, omega in enumerate(omega_values):
                 try:
-                    states = _propagate_reduced(
+                    states = propagate_reduced(
                         l0 + delta * l_delta + omega * l_omega, v0, tw, orbits, scan)
                 except RuntimeError as err:
                     scan.errors.append(f"model={m} Delta={delta} Omega={omega}: {err}")

@@ -389,17 +389,9 @@ def refine_critical_point(
         p2_at_zero = _cubic_coefficients(0.0, omega2, g, w, u, sigma)[1]
         delta = -(p2_at_zero + 3.0 * p3 * n0) / ((1.0 + sigma) * w)
         p1 = _cubic_coefficients(delta, omega2, g, w, u, sigma)[2]
-        coef = (p1 - 3.0 * p3 * n0**2).coef
-        # as in _real_roots: a leading coefficient that overflows the
-        # companion matrix (subnormal for V near 1e-160) only drops a root
-        # far outside (0, 1]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            while len(coef) > 2 and not np.isfinite(coef[:-1] / coef[-1]).all():
-                coef = coef[:-1]
-        for root in np.polynomial.Polynomial(coef).roots():
-            n = float(np.real(root))
-            if abs(np.imag(root)) < 1e-9 and 0.0 < n <= 1.0:
-                found.append((float(delta(n)), float(np.sqrt(omega2(n)))))
+        roots, real = _real_roots(*(p1 - 3.0 * p3 * n0**2).coef[::-1])
+        for n in roots[real & (roots > 0.0) & (roots <= 1.0)]:
+            found.append((float(delta(n)), float(np.sqrt(omega2(n)))))
     (d_lo, d_hi), (o_lo, o_hi) = delta_range, omega_range
     inside = [(D, O) for D, O in found if d_lo <= D <= d_hi and o_lo < O <= o_hi]
     if not inside:

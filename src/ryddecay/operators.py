@@ -2,9 +2,13 @@
 
 Basis convention (fixed for reproducibility): a basis state is an N-bit
 integer, site 0 is the most significant bit, bit value 1 means the atom is in
-the excited state. All diagonal operators are built from vectorized bit
-predicates over the index range; off-diagonal single-site operators are built
-from explicit (row, col) coordinate lists.
+the excited state. This module is the one place that knows the encoding:
+site_masks gives each site's bit and occupations the 0/1 table of site
+occupations, and excited_neighbours and excited_bonds count on that table
+the excited neighbours of each site (the collective channel's label xi) and
+the excited bonds (the interaction energy). The full-space operators below
+and the symmetry-reduced generator of master_equation are both built from
+these four helpers.
 """
 
 from __future__ import annotations
@@ -43,47 +47,56 @@ def check_model(model: str) -> str:
     return model
 
 
-def _bit_shift(lattice: LatticeSpec, k: int) -> int:
-    # site 0 occupies the most significant bit
-    return lattice.site_count - 1 - k
+def site_masks(n: int) -> np.ndarray:
+    """The bit of each of n sites in a basis index: site k is bit n - 1 - k,
+    so site 0 is the most significant."""
+    return 1 << (n - 1 - np.arange(n, dtype=np.int64))
+
+
+def occupations(n: int, states=None) -> np.ndarray:
+    """0/1 site occupations of the basis states (default: all 2^n of them),
+    shape (len(states), n), with site k in column k."""
+    states = np.arange(1 << n, dtype=np.int64) if states is None else np.asarray(states)
+    return ((states[:, None] & site_masks(n)) != 0).astype(np.int64)
+
+
+def excited_neighbours(bits: np.ndarray, table: NeighborTable) -> np.ndarray:
+    """The excited neighbours of every site, shape (len(bits), N), from the
+    site occupations bits of shape (len(bits), N)."""
+    return np.stack([bits[:, list(nb)].sum(axis=1) for nb in table.neighbors], axis=1)
+
+
+def excited_bonds(bits: np.ndarray, table: NeighborTable) -> np.ndarray:
+    """The excited-excited bonds of each state, from the site occupations
+    bits of shape (len(bits), N)."""
+    bonds = np.array(table.bond_list, dtype=int).reshape(-1, 2).T
+    return (bits[:, bonds[0]] & bits[:, bonds[1]]).sum(axis=1)
+
+
+def _check_site(lattice: LatticeSpec, k: int) -> None:
+    if not 0 <= k < lattice.site_count:
+        raise ValueError(f"site index {k} out of range for N={lattice.site_count}")
 
 
 def occupation_vector(lattice: LatticeSpec, k: int) -> np.ndarray:
     """0/1 vector over basis states: occupation of site k."""
-    n = lattice.site_count
-    if not 0 <= k < n:
-        raise ValueError(f"site index {k} out of range for N={n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    return ((idx >> _bit_shift(lattice, k)) & 1).astype(np.float64)
+    _check_site(lattice, k)
+    return occupations(lattice.site_count)[:, k].astype(np.float64)
 
 
 def excitation_count_vector(lattice: LatticeSpec) -> np.ndarray:
     """Total number of excited sites per basis state."""
-    dim = 1 << lattice.site_count
-    total = np.zeros(dim)
-    for k in range(lattice.site_count):
-        total += occupation_vector(lattice, k)
-    return total
-
-
-def neighbor_count_vector(lattice: LatticeSpec, table: NeighborTable, k: int) -> np.ndarray:
-    """Number of excited neighbors of site k per basis state."""
-    count = np.zeros(1 << lattice.site_count)
-    for m in table.neighbors[k]:
-        count += occupation_vector(lattice, m)
-    return count
+    return occupations(lattice.site_count).sum(axis=1).astype(np.float64)
 
 
 def site_operator(lattice: LatticeSpec, k: int, which: str) -> sp.csr_matrix:
     """Single-site operator embedded at site k (identity elsewhere)."""
+    _check_site(lattice, k)
     n = lattice.site_count
-    if not 0 <= k < n:
-        raise ValueError(f"site index {k} out of range for N={n}")
     dim = 1 << n
-    mask = 1 << _bit_shift(lattice, k)
-    idx = np.arange(dim, dtype=np.int64)
-    up = idx[(idx & mask) != 0]      # states with site k excited
-    down = up ^ mask                 # same states with site k de-excited
+    mask = site_masks(n)[k]
+    up = np.flatnonzero(np.arange(dim) & mask)  # states with site k excited
+    down = up ^ mask                            # same states with site k de-excited
     if which == "number":
         return sp.csr_matrix((np.ones(len(up)), (up, up)), shape=(dim, dim))
     if which == "sigma_minus":
@@ -110,9 +123,8 @@ def neighborhood_projector(
         raise ValueError(
             f"xi={xi} out of range for site {k} with {len(table.neighbors[k])} neighbors"
         )
-    count = neighbor_count_vector(lattice, table, k)
-    diag = (count == xi).astype(np.float64)
-    return sp.diags(diag, format="csr")
+    count = excited_neighbours(occupations(lattice.site_count), table)[:, k]
+    return sp.diags((count == xi).astype(np.float64), format="csr")
 
 
 def atomic_hamiltonian(
@@ -120,9 +132,12 @@ def atomic_hamiltonian(
 ) -> sp.csr_matrix:
     """Bare Hamiltonian: omega_a per excitation plus V per excited-excited
     nearest-neighbor bond (each bond counted once)."""
-    diag = params.omega_a * excitation_count_vector(lattice)
-    for k, m in table.bond_list:
-        diag += params.V * occupation_vector(lattice, k) * occupation_vector(lattice, m)
+    bits = occupations(lattice.site_count)
+    bonds = excited_bonds(bits, table)
+    diag = params.omega_a * bits.sum(axis=1, dtype=np.float64)
+    # V is added once per excited bond: V times the count rounds differently
+    for count in range(1, bonds.max() + 1):
+        diag[bonds >= count] += params.V
     return sp.diags(diag, format="csr")
 
 
@@ -160,16 +175,20 @@ def jump_operators(
                 neighborhood excitation number xi = 0..|neighbors(k)|.
     """
     check_model(model)
+    n = lattice.site_count
+    dim = 1 << n
+    bits = occupations(n)
+    xi_of = excited_neighbours(bits, table)
     root = np.sqrt(params.gamma)
     ops: list[JumpOperator] = []
-    for k in range(lattice.site_count):
-        sm = site_operator(lattice, k, "sigma_minus")
-        if model == SINGLE:
-            ops.append(JumpOperator(k, None, sp.csr_matrix(root * sm)))
-        else:
-            for xi in range(len(table.neighbors[k]) + 1):
-                proj = neighborhood_projector(lattice, table, k, xi)
-                ops.append(JumpOperator(k, xi, sp.csr_matrix(root * (proj @ sm))))
+    for k, mask in enumerate(site_masks(n)):
+        up = np.flatnonzero(bits[:, k])  # states with site k excited
+        labels = [None] if model == SINGLE else range(len(table.neighbors[k]) + 1)
+        for xi in labels:
+            cols = up if xi is None else up[xi_of[up, k] == xi]
+            matrix = sp.csr_matrix((np.full(len(cols), root), (cols ^ mask, cols)),
+                                   shape=(dim, dim))
+            ops.append(JumpOperator(k, xi, matrix))
     return ops
 
 

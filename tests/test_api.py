@@ -1,6 +1,8 @@
 """The public API: the names a CLI path or an independent test oracle uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,9 @@ DELETED = [
     ("ryddecay.meanfield", "MeanFieldState.bounds_violation"),
     ("ryddecay.coherence", "evolve_single"),
     ("ryddecay.coherence", "evolve_collective"),
+    ("ryddecay.operators", "neighbor_count_vector"),
+    ("ryddecay.operators", "_bit_shift"),
+    ("ryddecay.master_equation", "_excited_neighbours"),
 ]
 
 
@@ -69,3 +74,22 @@ def test_deleted_name_is_gone(module, path):
 def test_sigma_plus_kind_is_gone():
     with pytest.raises(ValueError, match="unknown operator kind"):
         site_operator(LatticeSpec(1, (2,), "open"), 0, "sigma_plus")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # what one module of the package shares with another is public; a
+    # leading underscore means the name is the defining module's own
+    offenders = []
+    for path in sorted(Path(ryddecay.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("ryddecay"):
+                continue
+            offenders += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                          for alias in node.names if _is_private(alias.name)]
+    assert offenders == []

@@ -606,6 +606,16 @@ def test_meanfield_no_cusp_below_omega_max(tmp_path):
     assert crit["error"] is not None
 
 
+def test_meanfield_cusp_with_underflowing_sextic(tmp_path):
+    # V = 1e-160 at d = 40: the cusp polynomial's leading coefficients
+    # underflow; the run records that no cusp exists instead of warning
+    run(tmp_path, "meanfield", {"d": 40, "V": 1e-160, "gamma": 7.0, "n_delta": 5,
+                                "n_omega": 5, "cut_n_delta": 5})
+    crit = json.loads((tmp_path / "meanfield_critical_points.json").read_text())
+    assert crit["critical_points"] == []
+    assert "no mean-field cusp" in crit["error"]
+
+
 def test_meanfield_linear_stationarity(tmp_path):
     # V = 0 with single-atom decay leaves a linear stationarity condition
     # (the cubic's two leading coefficients vanish on the whole grid)

@@ -396,6 +396,9 @@ def test_critical_point_single_model():
     (BISTABLE, {"sign_convention": AS_PRINTED}),
     (BISTABLE, {"omega_range": (2.5, 3.4)}),
     (MeanFieldParams(Delta=-10.0, Omega=2.5, gamma=1.0, d=1, V=0.0), {}),
+    # the sextic's leading coefficients underflow: its roots come from
+    # _real_roots like the cubic's, without a RuntimeWarning
+    (MeanFieldParams(Delta=0.0, Omega=0.0, gamma=7.0, d=40, V=1e-160), {}),
 ])
 def test_critical_point_absent_raises(params, kwargs):
     with pytest.raises(ValueError, match="no mean-field cusp"):

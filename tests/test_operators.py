@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from ryddecay.lattice import LatticeSpec, build_lattice, neighbor_table
 from ryddecay.operators import (
@@ -10,10 +11,12 @@ from ryddecay.operators import (
     atomic_hamiltonian,
     driven_hamiltonian,
     excitation_count_vector,
+    excited_bonds,
+    excited_neighbours,
     jump_operators,
-    neighbor_count_vector,
     neighborhood_projector,
     occupation_vector,
+    occupations,
     site_operator,
 )
 
@@ -120,7 +123,7 @@ def test_projector_selects_neighbor_count():
     # nonzero action of P_k^xi sigma_k^- lands only on basis states whose
     # excited-neighbor count of k equals xi
     for k in range(4):
-        cnt = neighbor_count_vector(CHAIN4, TABLE4, k)
+        cnt = excited_neighbours(occupations(4), TABLE4)[:, k]
         for xi in range(3):
             op = neighborhood_projector(CHAIN4, TABLE4, k, xi) @ site_operator(
                 CHAIN4, k, "sigma_minus"
@@ -193,3 +196,65 @@ def test_occupation_vectors():
         sum(occupation_vector(CHAIN4, k) for k in range(4)),
     )
 
+
+
+@st.composite
+def small_lattices(draw):
+    """Periodic and open chains, and the 3 x 3 torus."""
+    kind = draw(st.sampled_from(["periodic", "open", "torus"]))
+    if kind == "torus":
+        return build_lattice(2, [3, 3], "periodic")
+    return build_lattice(1, [draw(st.integers(3 if kind == "periodic" else 1, 8))], kind)
+
+
+@settings(max_examples=30)
+@given(small_lattices(), st.data())
+def test_basis_helpers_match_a_per_state_loop(lat, data):
+    n = lat.site_count
+    table = neighbor_table(lat)
+    bits = occupations(n)
+    xi, bonds = excited_neighbours(bits, table), excited_bonds(bits, table)
+    for s in range(1 << n):
+        occ = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+        assert list(bits[s]) == occ
+        assert list(xi[s]) == [sum(occ[m] for m in nb) for nb in table.neighbors]
+        assert bonds[s] == sum(occ[k] * occ[m] for k, m in table.bond_list)
+    picked = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    assert np.array_equal(occupations(n, np.array(picked, dtype=np.int64)), bits[picked])
+
+
+@settings(max_examples=30)
+@given(small_lattices(), st.floats(-50, 50), st.floats(-50, 50))
+def test_atomic_hamiltonian_sums_v_once_per_bond(lat, omega_a, V):
+    # the diagonal is omega_a n + V + V + ..., one term per excited bond in
+    # bond_list order, bit for bit: V times the bond count rounds differently
+    table = neighbor_table(lat)
+    n = lat.site_count
+    diag = atomic_hamiltonian(lat, table, ModelParams(omega_a=omega_a, V=V)).diagonal()
+    expect = np.zeros(1 << n)
+    for s in range(1 << n):
+        occ = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+        expect[s] = omega_a * float(sum(occ))
+        for k, m in table.bond_list:
+            expect[s] += V * occ[k] * occ[m]
+    assert np.array_equal(diag, expect)
+
+
+@settings(max_examples=20)
+@given(small_lattices(), st.sampled_from([SINGLE, COLLECTIVE]), st.sampled_from([0.3, 1.0, 2.5]))
+def test_jump_operators_equal_projected_sigma_minus(lat, model, gamma):
+    # the products sqrt(gamma) P_k^xi sigma_k^- are the oracle of the
+    # channels built straight from the neighbour counts
+    table = neighbor_table(lat)
+    jumps = jump_operators(lat, table, ModelParams(gamma=gamma), model)
+    assert [(j.site, j.xi) for j in jumps] == [
+        (k, xi) for k, nb in enumerate(table.neighbors)
+        for xi in ([None] if model == SINGLE else range(len(nb) + 1))
+    ]
+    for j in jumps:
+        sm = site_operator(lat, j.site, "sigma_minus")
+        proj = sp.identity(sm.shape[0]) if j.xi is None else neighborhood_projector(
+            lat, table, j.site, j.xi)
+        oracle = sp.csr_matrix(np.sqrt(gamma) * (proj @ sm))
+        assert j.matrix.nnz == oracle.nnz
+        assert np.array_equal(j.matrix.toarray(), oracle.toarray())

@@ -14,6 +14,12 @@ passing a manifest back via --config reproduces the CSV byte for byte.
 CSV layout: '#'-prefixed comment lines (metadata, then 'columns: ...'),
 followed by comma-delimited data rows, 17 significant digits; non-finite
 and absent values are empty fields.
+
+Only the exact layer uses scipy, and it imports scipy inside the functions
+that need it. Importing this module, meanfield, and coherence without
+verify_N load numpy alone. steady-state, trajectories and coherence with
+verify_N import scipy.sparse on their first call in a process (about 0.2 s),
+and that call's manifest wall_time_s includes it.
 """
 
 from __future__ import annotations
@@ -111,6 +117,8 @@ NONE_DEFAULT_TYPES = {"verify_N": int, "omega_min": float}
 COUNT_KEYS = ("n_delta", "n_omega", "n_times", "cut_n_delta", "threads")
 # float keys that must be > 0; every other float key must be finite
 POSITIVE_KEYS = ("gamma", "t_final", "t_max", "dt")
+# (lower, upper) bounds of the parameter grids; equal bounds give one cell
+RANGE_KEYS = (("delta_min", "delta_max"), ("omega_min", "omega_max"))
 TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
               list: "a list"}
 
@@ -173,6 +181,9 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
     for key in COUNT_KEYS:
         if key in cfg and cfg[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    for lo, hi in RANGE_KEYS:
+        if cfg.get(lo) is not None and cfg[lo] > cfg[hi]:
+            raise ValueError(f"{lo} must be <= {hi}, got {cfg[lo]!r} > {cfg[hi]!r}")
     return cfg
 
 

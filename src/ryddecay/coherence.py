@@ -25,6 +25,8 @@ it shares the steady-state scan's propagation core,
 master_equation.propagate_reduced. The mode rows label each decay by
 operators.excited_neighbours, the count that also resolves the collective
 jump operators; the full-space integrate_exact is its oracle in the tests.
+The closed form needs numpy alone; only the cross-check loads scipy.sparse,
+on its first call.
 """
 
 from __future__ import annotations

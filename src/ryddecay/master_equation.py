@@ -29,15 +29,20 @@ v(t) = R diag(exp(lam t)) R^-1 v0 in closed form; above EIG_MAX_DIM or
 COND_LIMIT it runs expm_multiply on L_red instead. liouvillian, propagate
 and integrate_exact stay the full-space oracle of both, and Orbits.basis
 builds the 4^N-row basis B for the tests that compare with them.
+
+scipy.sparse is imported inside each function that builds a sparse matrix,
+and scipy.sparse.linalg inside _expm_samples, so importing this module
+loads numpy alone and the first exact call in a process pays the scipy
+import (about 0.2 s).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeSpec, all_coords, neighbor_table
 from .operators import (
@@ -52,6 +57,9 @@ from .operators import (
     occupations,
     site_masks,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Largest condition number of an eigenvector matrix for which the eigenbasis
 # is trusted: R of L_red = R diag(lam) R^-1 here, V of H_eff in the jump
@@ -148,6 +156,8 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
     effective_hamiltonian, the generator is
     -i H_eff kron 1 + i 1 kron conj(H_eff) + sum_j L_j kron conj(L_j).
     """
+    import scipy.sparse as sp
+
     heff = effective_hamiltonian(H, jumps)
     eye = sp.identity(heff.shape[0], dtype=complex, format="csr")
     gen = -1j * sp.kron(heff, eye) + 1j * sp.kron(eye, heff.conj())
@@ -185,7 +195,7 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     the call and the caller's RNG state restored afterwards: equal inputs
     give equal bytes.
     """
-    # imported here: scipy.sparse.linalg adds ~0.15 s to `import ryddecay.cli`
+    # imported on first use, like scipy.sparse, to whose ~0.2 s it adds ~0.07 s
     from scipy.sparse.linalg import expm_multiply
 
     span = times[-1] - times[0]
@@ -372,6 +382,8 @@ class Orbits:
         orbit rows[k], on the pair cols[k]. With M_{o,o'} the sum of
         values sqrt(|o| / |o'|) over the entries of o's row in orbit o',
         E^dag L E = M and B^dag L B = Re(U^dag M U)."""
+        import scipy.sparse as sp
+
         target = self.orbit[cols]
         m = sp.csr_matrix((values * np.sqrt(self.size[rows] / self.size[target]),
                            (rows, target)), shape=(self.dim, self.dim))
@@ -380,6 +392,8 @@ class Orbits:
     def basis(self) -> sp.csr_matrix:
         """B itself, 4^N rows: only the tests that compare with the
         full-space liouvillian build it."""
+        import scipy.sparse as sp
+
         pairs = np.arange(len(self.orbit))
         e = sp.csr_matrix((1.0 / np.sqrt(self.size[self.orbit]), (pairs, self.orbit)))
         return sp.csr_matrix(e @ self.unitary)
@@ -387,6 +401,8 @@ class Orbits:
 
 def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
     """The orbits of the pairs (i, j) under the lattice's site symmetries."""
+    import scipy.sparse as sp
+
     n = lattice.site_count
     if n > MAX_SITES:
         raise ValueError(f"exact propagation supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
@@ -536,6 +552,8 @@ def propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
     drift above DRIFT_LIMIT raises RuntimeError. The dimension, route, cond,
     gap and drifts are recorded in stats.
     """
+    import scipy.sparse as sp
+
     stats.reduced_dim = gen.shape[0]
     _check_sample_grid(times)
     states = None

@@ -30,6 +30,10 @@ The bistable lobe ends at a cusp, where that cubic has a triple root n0.
 refine_critical_point solves for it in closed form: the triple-root
 conditions leave one polynomial of degree 6 in n0, and each of its real
 roots in (0, 1] gives a cusp (Delta, Omega).
+
+The scan and the cusp need numpy alone, so the meanfield command never
+loads scipy. integrate_mf imports scipy.integrate and mf_oracle_check builds
+scipy.sparse operators, each on first use.
 """
 
 from __future__ import annotations
@@ -415,7 +419,8 @@ def integrate_mf(
     default to 201 points on [0, t_final]. Aborts with a diagnostic once
     max |x| reaches 10 (divergence guard).
     """
-    from scipy.integrate import solve_ivp  # not loaded by `import ryddecay.cli`
+    # imported on first use (~0.25 s): the meanfield command never integrates
+    from scipy.integrate import solve_ivp
 
     x0 = state0.as_array() if isinstance(state0, MeanFieldState) else np.asarray(state0, float)
     if sample_times is None:

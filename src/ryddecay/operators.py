@@ -8,17 +8,22 @@ occupations, and excited_neighbours and excited_bonds count on that table
 the excited neighbours of each site (the collective channel's label xi) and
 the excited bonds (the interaction energy). The full-space operators below
 and the symmetry-reduced generator of master_equation are both built from
-these four helpers.
+these four helpers. The helpers need numpy alone; the operators are
+scipy.sparse matrices, and scipy.sparse is imported inside each function
+that builds one, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeSpec, NeighborTable, neighbor_table
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SINGLE = "single"
 COLLECTIVE = "collective"
@@ -91,6 +96,8 @@ def excitation_count_vector(lattice: LatticeSpec) -> np.ndarray:
 
 def site_operator(lattice: LatticeSpec, k: int, which: str) -> sp.csr_matrix:
     """Single-site operator embedded at site k (identity elsewhere)."""
+    import scipy.sparse as sp
+
     _check_site(lattice, k)
     n = lattice.site_count
     dim = 1 << n
@@ -119,6 +126,8 @@ def neighborhood_projector(
 ) -> sp.csr_matrix:
     """Diagonal projector onto basis states with exactly xi excited neighbors
     of site k."""
+    import scipy.sparse as sp
+
     if not 0 <= xi <= len(table.neighbors[k]):
         raise ValueError(
             f"xi={xi} out of range for site {k} with {len(table.neighbors[k])} neighbors"
@@ -132,6 +141,8 @@ def atomic_hamiltonian(
 ) -> sp.csr_matrix:
     """Bare Hamiltonian: omega_a per excitation plus V per excited-excited
     nearest-neighbor bond (each bond counted once)."""
+    import scipy.sparse as sp
+
     bits = occupations(lattice.site_count)
     bonds = excited_bonds(bits, table)
     diag = params.omega_a * bits.sum(axis=1, dtype=np.float64)
@@ -147,6 +158,8 @@ def driven_hamiltonian(
     """Rotating-frame driven Hamiltonian: detuning Delta per excitation, the
     interaction term, and a transverse drive Omega on every site. The lab
     frequency omega_a cancels exactly."""
+    import scipy.sparse as sp
+
     h = atomic_hamiltonian(lattice, table, replace(params, omega_a=params.Delta))
     if params.Omega != 0.0:
         for k in range(lattice.site_count):
@@ -174,6 +187,8 @@ def jump_operators(
     collective: one channel sqrt(gamma) P_k^xi sigma_k^- per site and per
                 neighborhood excitation number xi = 0..|neighbors(k)|.
     """
+    import scipy.sparse as sp
+
     check_model(model)
     n = lattice.site_count
     dim = 1 << n
@@ -196,6 +211,8 @@ def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
     """H_eff = H - (i/2) sum_j L_j^dag L_j. Its anti-Hermitian part is
     -(i gamma/2) sum_k n_k for both dissipation models, by completeness of
     the neighborhood projectors."""
+    import scipy.sparse as sp
+
     acc = sp.csr_matrix(H, dtype=complex)
     for j in jumps:
         acc = acc - 0.5j * (j.matrix.conj().T @ j.matrix)

@@ -21,6 +21,10 @@ BLOCK_ROWS rows. Per-trajectory seeds are spawned from the master seed with
 numpy.random.SeedSequence, so trajectory i draws the same thresholds and
 channels in any batch; ensemble output bytes are a function of
 (master_seed, n_traj) alone.
+
+Importing this module loads numpy alone. H and the jump operators are
+scipy.sparse matrices, and scipy.sparse is imported when the first one is
+built; the expm route imports scipy.linalg on its first use.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeSpec, neighbor_table
 from .master_equation import COND_LIMIT
@@ -128,6 +131,8 @@ class NoJumpPropagator:
 
 def no_jump_propagator(h_eff) -> NoJumpPropagator:
     """Diagonalise H_eff (sparse or dense) once, for any number of trajectories."""
+    import scipy.sparse as sp
+
     h = h_eff.toarray() if sp.issparse(h_eff) else np.asarray(h_eff, dtype=complex)
     lam, vecs = np.linalg.eig(h)
     cond = float(np.linalg.cond(vecs))

@@ -1,7 +1,11 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +386,11 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     ("meanfield", {"omega_max": 1e150}, "Delta, Omega or V too large"),
     ("trajectories", {"gamma": 0.5}, "t_final must cover the averaging window"),
     ("trajectories", {"t_final": 4.0}, "t_final must cover the averaging window"),
+    # reversed ranges: the cusp search ran over an empty interval and the
+    # steady-state rows came out in reversed order, both with exit 0
+    *[(command, {lo: 5.0, hi: 1.0}, f"{lo} must be <= {hi}, got 5.0 > 1.0")
+      for command in ("steady-state", "trajectories", "meanfield")
+      for lo, hi in (("delta_min", "delta_max"), ("omega_min", "omega_max"))],
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):
@@ -681,3 +690,49 @@ def test_csv_uses_full_precision(tmp_path):
     val = data[1].split(",")[1]
     assert float(val) == pytest.approx(float(format(float(val), ".17g")), abs=0)
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's ryddecay."""
+    src = str(Path(ryddecay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+
+
+# the modules loaded so far that are scipy, a process pool or a subpackage of either
+LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] in "
+          "('scipy', 'concurrent', 'multiprocessing'))")
+
+
+def test_cli_import_loads_no_scipy():
+    # the exact layer imports scipy inside the functions that use it, and
+    # trajectories run in one process, without a pool
+    out = _python(f"import sys, ryddecay.cli; print({LOADED})")
+    assert out.stdout.strip() == "[]"
+
+
+def test_only_exact_commands_load_scipy(tmp_path):
+    calls = [
+        ("meanfield", {"n_delta": 11, "n_omega": 11, "cut_n_delta": 41}),
+        ("coherence", {"verify_N": None, "n_times": 11}),
+        ("steady-state", {"N": 11}),
+        ("steady-state", one_cell("steady-state")),
+    ]
+    out = _python(f"""
+import json, sys
+from ryddecay import cli
+for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    path = f"{{sys.argv[1]}}/config{{k}}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    rc = cli.main([command, "--config", path, "--out", f"{{sys.argv[1]}}/out{{k}}"])
+    print(json.dumps([rc, {LOADED}]))
+""", str(tmp_path), json.dumps(calls))
+    report = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
+    assert [rc for rc, _ in report] == [0, 0, 1, 0]
+    assert [loaded for _, loaded in report[:3]] == [[], [], []]
+    assert "N <= 10 is required" in out.stderr
+    # the probe sees imports: the exact scan loads scipy.sparse
+    assert "scipy.sparse" in report[3][1]

@@ -438,8 +438,7 @@ def test_shared_propagator_gives_the_same_ensemble():
 
 
 def test_cli_import_leaves_out_dense_linalg_and_optimize():
-    # nor a process pool: trajectories run in one process. The bare
-    # concurrent.futures package is loaded by scipy.sparse (via numpy.testing)
+    # nor a process pool: trajectories run in one process
     src = str(Path(ryddecay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

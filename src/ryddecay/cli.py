@@ -182,8 +182,13 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
         if key in cfg and cfg[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     for lo, hi in RANGE_KEYS:
-        if cfg.get(lo) is not None and cfg[lo] > cfg[hi]:
-            raise ValueError(f"{lo} must be <= {hi}, got {cfg[lo]!r} > {cfg[hi]!r}")
+        if lo not in cfg:
+            continue
+        name, low = lo, cfg[lo]
+        if low is None:  # see _omega_grid
+            name, low = f"{hi} / n_omega (the default {lo})", cfg[hi] / cfg["n_omega"]
+        if low > cfg[hi]:
+            raise ValueError(f"{name} must be <= {hi}, got {low!r} > {cfg[hi]!r}")
     return cfg
 
 

@@ -16,8 +16,11 @@ single-atom dissipator reduces it to 1 (select with model='single').
 
 Fixed points: scan_phase_diagram eliminates s_x, s_y linearly, which reduces
 stationarity to a cubic in n per (Delta, Omega) cell, and treats the whole
-grid in one array pass: batched companion-matrix roots, one vectorised
-Newton polish, deduplication and Jacobian classification as masks.
+grid in one array pass: the cubic's roots in closed form, one vectorised
+Newton polish, deduplication, and stability from the Jacobian's
+characteristic cubic by the same closed form (_cubic_roots), all as masks.
+np.linalg.eigvals (about 3 us per 3 x 3 matrix) is kept for the rows with a
+near-repeated root, which no closed form resolves to full accuracy.
 find_fixed_points is its independent oracle: Newton from a 10x10x10 seed
 grid over the physical box, through the same polish, deduplication and
 classification, with no use of the cubic. The two are cross-checked in tests.
@@ -54,12 +57,25 @@ NEWTON_RESIDUAL = 1e-12  # on the flow scaled to largest rate 1 (_scaled)
 DEDUP_TOL = 1e-6
 STABLE_EIG_TOL = -1e-9  # in units of gamma
 BOUNDS_SLACK = 1e-6
-# eigenvalues of a 3x3 Jacobian J carry absolute errors of a few eps ||J||
+# eigenvalues of a 3x3 Jacobian J carry absolute errors of a few eps ||J||.
+# Against a 50-digit mpmath reference, the closed form's real parts (_spectrum)
+# were within 1.1 eps ||J|| on the 16,673 Jacobians that take it in one
+# 101 x 101 scan and 401-point cut, and np.linalg.eigvals' within 7.5 eps ||J||.
 EIG_ROUNDING = 100 * np.finfo(float).eps
 # largest s / gamma (see _scaled): there the rounding band EIG_ROUNDING ||J||,
 # about 1e-13 s in the box, is about 1e-3 gamma. On 41 x 41 grids roots in the
 # box first fell inside it at s = 1e11 gamma (as printed) and 1e13 (verified).
 SPAN_LIMIT = 1e10
+# relative discriminants (_cubic_roots) at or below which np.linalg.eigvals
+# replaces the closed form, whose error near a root pair a gap apart grows as
+# eps max |root|^2 / gap. The stationarity cubic's roots only seed the Newton
+# polish, and its real/complex split matches eigvals' while no two roots are
+# within about 1e-4 max |root|. A Jacobian's real parts must stay well inside
+# EIG_ROUNDING ||J||: on 800,000 random Jacobians (long-double reference) the
+# closed form's worst error fell from 14 to 8 eps ||J|| as SPECTRUM_NEAR_REPEATED
+# rose from 1e-2 to 3e-2.
+ROOTS_NEAR_REPEATED = 1e-8
+SPECTRUM_NEAR_REPEATED = 3e-2
 
 
 @dataclass(frozen=True)
@@ -241,7 +257,9 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
     stable = np.zeros_like(kept)
     physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
     jac = mf_jacobian(x, cells, sign_convention, model)[kept]
-    eig = np.linalg.eigvals(jac)
+    eig, near = _spectrum(jac)
+    if near.any():
+        eig[near] = np.linalg.eigvals(jac[near])
     threshold = STABLE_EIG_TOL * params.gamma
     # only the stability of physical roots reaches an output
     unresolved = (np.abs(eig.real - threshold)
@@ -257,6 +275,20 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
         np.take_along_axis(stable, order, axis=1).reshape(shape + (k,)),
         np.take_along_axis(physical, order, axis=1).reshape(shape + (k,)),
     )
+
+
+def _spectrum(jac) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 3) of 3x3 matrices as the roots of their
+    characteristic polynomial l^3 - tr l^2 + m2 l - det (_cubic_roots), with
+    the trace, the sum m2 of principal 2x2 minors and the determinant in
+    closed form, and the mask of rows whose relative discriminant is at most
+    SPECTRUM_NEAR_REPEATED, where np.linalg.eigvals is to be used instead."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, (-2, -1), (0, 1))
+    minors = e * i - f * h, d * i - f * g, d * h - e * g
+    m2 = a * e - b * d + a * i - c * g + minors[0]
+    det = a * minors[0] - b * minors[1] + c * minors[2]
+    eig, disc = _cubic_roots(-(a + e + i), m2, -det)
+    return eig, ~(disc > SPECTRUM_NEAR_REPEATED)
 
 
 def find_fixed_points(
@@ -296,11 +328,74 @@ def _cubic_coefficients(D, omega2, g, w, u, sigma):
     return p3, p2, p1, -omega2
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cubic_roots(b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Roots r of x^3 + b x^2 + c x + d per row, as complex (..., 3), and
+    their relative discriminant prod_{i<j} |r_i - r_j|^2 / max |r|^6 (NaN
+    where a root is not finite or all are 0).
+
+    Kahan's QBC ("To solve a real cubic equation", 1986): Newton from his
+    starting point beside the inflection point converges monotonically to a
+    real root x, stopping once a step no longer moves forward; the cubic is
+    deflated to x^2 + b1 x + c2 by whichever of the two recurrences rounds
+    less, and that quadratic is solved without cancellation. No closed form
+    keeps full accuracy near a repeated root: there each root moves by about
+    the square or cube root of the rounding, and callers use
+    np.linalg.eigvals instead."""
+    b, c, d = np.broadcast_arrays(*(np.asarray(v, float) for v in (b, c, d)))
+    shape = b.shape
+    b, c, d = b.ravel(), c.ravel(), d.ravel()
+
+    def horner(x, b, c, d):
+        # p(x), p'(x), and b1, c2 with p(t) = (t - x)(t^2 + b1 t + c2) + p(x)
+        b1 = x + b
+        c2 = b1 * x + c
+        return c2 * x + d, (x + b1) * x + c2, b1, c2
+
+    x = -b / 3.0
+    q, dq, _, _ = horner(x, b, c, d)
+    s = np.sign(q)
+    r = np.cbrt(np.abs(q))
+    r = np.where(dq < 0, 1.324718 * np.maximum(r, np.sqrt(-dq)), r)
+    step = x - s * r
+    moved = step != x
+    rows = np.flatnonzero(moved)
+    while rows.size:
+        x[rows] = step[rows]
+        q, dq, _, _ = horner(x[rows], b[rows], c[rows], d[rows])
+        step[rows] = np.where(dq == 0, x[rows], x[rows] - q / dq / 1.000000000000001)
+        rows = rows[s[rows] * step[rows] > s[rows] * x[rows]]
+    _, _, b1, c2 = horner(x, b, c, d)
+    # for a large root, c2 = -d / x rounds less than b1 x + c
+    alt = moved & (x * x > np.abs(d / x))
+    c2 = np.where(alt, -d / x, c2)
+    b1 = np.where(alt, (c2 - c) / x, b1)
+    zero = d == 0
+    x, b1, c2 = np.where(zero, 0.0, x), np.where(zero, b, b1), np.where(zero, c, c2)
+
+    # the other two roots: re1 + i im and re2 - i im
+    h = -0.5 * b1
+    q = h * h - c2
+    sq = np.sqrt(np.abs(q))
+    big = h + np.copysign(sq, h)
+    im = np.where(q < 0, sq, 0.0)
+    re1 = np.where(q < 0, h, np.where(big == 0, c2, c2 / big))
+    re2 = np.where(q < 0, h, np.where(big == 0, -c2, big))
+    roots = np.stack([x + 0j, re1 + 1j * im, re2 - 1j * im], axis=-1)
+
+    scale = np.maximum(np.abs(x), np.hypot(np.maximum(np.abs(re1), np.abs(re2)), im))
+    disc = (np.hypot(x - re1, im) / scale * np.hypot(x - re2, im) / scale
+            * np.hypot(re1 - re2, 2.0 * im) / scale) ** 2
+    return roots.reshape(shape + (3,)), disc.reshape(shape)
+
+
 def _real_roots(*coefficients) -> tuple[np.ndarray, np.ndarray]:
     """Real roots of p_k n^k + ... + p_0 per cell (coefficients highest
     degree first, broadcast together), found as np.roots finds them:
     eigenvalues of the companion matrix, dropping those with |imag| >=
-    1e-9 (1 + max |root|). Where the companion matrix is not finite, as for
+    1e-9 (1 + max |root|). A cubic takes the closed form (_cubic_roots)
+    instead, except where its relative discriminant is at most
+    ROOTS_NEAR_REPEATED. Where the companion matrix is not finite, as for
     p3 = 0 (V = 0 with single-atom decay) or a subnormal p3 (V near 1e-160),
     the cell's roots are those of the polynomial without its leading
     coefficient: the roots dropped lie far outside the box. Returns the
@@ -314,10 +409,17 @@ def _real_roots(*coefficients) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = -coeffs[:, 1:] / coeffs[:, :1]
     finite = np.isfinite(top).all(axis=-1)
-    companion = np.zeros((np.count_nonzero(finite), k, k))
-    companion[:, 0, :] = top[finite]
-    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-    r = np.linalg.eigvals(companion)
+    if k == 3:
+        r, disc = _cubic_roots(*-top[finite].T)
+        companion = ~(disc > ROOTS_NEAR_REPEATED)
+    else:
+        r = np.zeros((np.count_nonzero(finite), k), complex)
+        companion = np.ones(len(r), bool)
+    if companion.any():
+        matrix = np.zeros((np.count_nonzero(companion), k, k))
+        matrix[:, 0, :] = top[finite][companion]
+        matrix[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        r[companion] = np.linalg.eigvals(matrix)
     scale = 1.0 + np.max(np.abs(r), axis=-1, keepdims=True)
     roots[finite], real[finite] = r.real, np.abs(r.imag) < 1e-9 * scale
     if not finite.all():
@@ -348,15 +450,20 @@ def scan_phase_diagram(
     sigma = _sigma(sign_convention)
     u = _factor_u(params, model)
     g, w = p.gamma, 2.0 * p.d * p.V
-    n, valid = _real_roots(*_cubic_coefficients(p.Delta, p.Omega ** 2, g, w, u, sigma))
+    shape = (len(delta_grid), len(omega_grid))
+    driven = np.broadcast_to(p.Omega != 0.0, shape)
+    n, valid = np.zeros(shape + (3,)), np.zeros(shape + (3,), bool)
+    # an undriven cell's one candidate is the vacuum, so its cubic is not solved
+    n[driven], valid[driven] = _real_roots(*(
+        np.broadcast_to(c, shape)[driven]
+        for c in _cubic_coefficients(p.Delta, p.Omega ** 2, g, w, u, sigma)))
     D, O = p.Delta[..., None], p.Omega[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = 0.5 * g * (u * n + 1.0)
         s_y = g * n / O
         s_x = -(D + w * n) * s_y / a
-    driven = O != 0.0
-    candidates = np.where(driven[..., None], np.stack([n, s_x, s_y], axis=-1), 0.0)
-    valid = np.where(driven, valid & (np.abs(a) >= 1e-12 * g), np.arange(n.shape[-1]) == 0)
+    candidates = np.where(driven[..., None, None], np.stack([n, s_x, s_y], axis=-1), 0.0)
+    valid = np.where(driven[..., None], valid & (np.abs(a) >= 1e-12 * g), np.arange(3) == 0)
     # a root whose s_x or s_y overflows float64 lies far outside the box
     valid &= np.isfinite(candidates).all(axis=-1)
     return _solve(candidates, valid, replace(p, Delta=D, Omega=O), sign_convention, model,

@@ -391,6 +391,12 @@ def test_bad_threads_rejected(tmp_path, capsys, threads):
     *[(command, {lo: 5.0, hi: 1.0}, f"{lo} must be <= {hi}, got 5.0 > 1.0")
       for command in ("steady-state", "trajectories", "meanfield")
       for lo, hi in (("delta_min", "delta_max"), ("omega_min", "omega_max"))],
+    # without omega_min the grid starts at omega_max / n_omega: a negative
+    # omega_max gave a descending Omega column with exit 0
+    *[(command, {"omega_min": None, "omega_max": -1.0, "n_omega": 3},
+       "omega_max / n_omega (the default omega_min) must be <= omega_max, "
+       "got -0.3333333333333333 > -1.0")
+      for command in ("steady-state", "trajectories")],
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, command, cfg, message):
     if command in ("steady-state", "trajectories"):
@@ -623,6 +629,17 @@ def test_meanfield_cusp_with_underflowing_sextic(tmp_path):
     crit = json.loads((tmp_path / "meanfield_critical_points.json").read_text())
     assert crit["critical_points"] == []
     assert "no mean-field cusp" in crit["error"]
+
+
+def test_meanfield_defaults_leave_eigvals_to_the_sextic_and_fallback_rows(tmp_path, monkeypatch):
+    # the stationarity cubics and the Jacobian spectra take the closed form;
+    # np.linalg.eigvals sees the cusp's degree-6 polynomial and the rows with
+    # a near-repeated root, in one batched call each
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or eigvals(a))
+    run(tmp_path, "meanfield")
+    assert len(calls) <= 2, calls
 
 
 def test_meanfield_linear_stationarity(tmp_path):

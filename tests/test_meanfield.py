@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,17 @@ from hypothesis import given, settings, strategies as st
 from ryddecay.lattice import LatticeSpec
 from ryddecay.meanfield import (
     AS_PRINTED,
+    BOUNDS_SLACK,
+    EIG_ROUNDING,
     ORACLE_VERIFIED,
+    ROOTS_NEAR_REPEATED,
+    STABLE_EIG_TOL,
     MeanFieldParams,
     MeanFieldState,
     _box_violation,
+    _cubic_roots,
+    _real_roots,
+    _spectrum,
     find_fixed_points,
     integrate_mf,
     mf_jacobian,
@@ -147,6 +156,71 @@ def test_cubic_detuning_free_drive_free():
     assert len(fps) == 1
     assert np.allclose(fps[0], [0.0, 0.0, 0.0])
     assert cell.stable[0, 0, 0]
+
+
+@st.composite
+def cubics(draw):
+    """(p3, p2, p1, p0): a root and a pair 10^-k apart, real or complex, or
+    an O(1) quadratic under a leading coefficient 10^-e shrinking toward 0."""
+    unit = st.floats(-2.0, 2.0)
+    if draw(st.booleans()):
+        x, centre = draw(unit), draw(unit)
+        half = 0.5 * 10.0 ** -draw(st.integers(0, 8))
+        # (t - centre)^2 - half^2 for a real pair, + half^2 for a complex one
+        c0 = centre * centre + (half * half if draw(st.booleans()) else -half * half)
+        return 1.0, -2.0 * centre - x, c0 + 2.0 * centre * x, -c0 * x
+    p2, p1, p0 = draw(unit), draw(unit), draw(unit)
+    return 10.0 ** -draw(st.integers(0, 300)), p2, p1, p0
+
+
+@settings(max_examples=300)
+@given(cubics())
+def test_cubic_closed_form_matches_np_roots(p):
+    roots, real = _real_roots(*p)
+    expected = np.roots(p)
+    scale = 1.0 + np.max(np.abs(expected))
+    if not _cubic_roots(*np.divide(p[1:], p[0]))[1] > ROOTS_NEAR_REPEATED:
+        return  # near-repeated: _real_roots takes np.roots' own route
+    expected_real = np.abs(expected.imag) < 1e-9 * scale
+    assert np.count_nonzero(real) == np.count_nonzero(expected_real)
+    # a tenth of the tolerance on |imag| that decides whether a root is real
+    assert np.all(np.abs(np.sort(roots[real]) - np.sort(expected.real[expected_real]))
+                  <= 1e-10 * scale)
+
+
+@settings(max_examples=300)
+@given(state=st.tuples(st.floats(-0.5, 1.5), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       delta=st.floats(-30.0, 10.0), omega=st.floats(0.0, 10.0), gamma=st.floats(0.1, 2.0),
+       V=st.floats(0.0, 20.0), d=st.integers(1, 3), model=st.sampled_from([SINGLE, COLLECTIVE]),
+       convention=st.sampled_from([ORACLE_VERIFIED, AS_PRINTED]))
+def test_jacobian_spectrum_matches_eigvals(state, delta, omega, gamma, V, d, model, convention):
+    jac = mf_jacobian(state, MeanFieldParams(delta, omega, gamma, d, V), convention, model)
+    eig, near = _spectrum(jac)
+    if near:
+        return  # _solve takes np.linalg.eigvals there
+    error = np.sort(eig.real) - np.sort(np.linalg.eigvals(jac).real)
+    assert np.max(np.abs(error)) <= EIG_ROUNDING * np.linalg.norm(jac) / 10
+
+
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+@pytest.mark.parametrize("convention", [ORACLE_VERIFIED, AS_PRINTED])
+def test_scan_stability_matches_eigvals(model, convention):
+    # the benchmark's meanfield-chain grid at seed 1, coarsened to 41 x 41;
+    # every kept root is classified again from np.linalg.eigvals of its
+    # Jacobian in unscaled units, except inside the rounding band
+    params = MeanFieldParams(0.0, 0.0, gamma=1.0, d=1, V=10.0)
+    deltas, omegas = np.linspace(-30.0, 10.0, 41), np.linspace(0.073, 10.0, 41)
+    pd = scan_phase_diagram(deltas, omegas, params, convention, model)
+    kept = ~np.isnan(pd.states[..., 0])
+    cells = replace(params, Delta=deltas[:, None, None], Omega=omegas[None, :, None])
+    jac = mf_jacobian(pd.states, cells, convention, model)[kept]
+    eig = np.linalg.eigvals(jac).real
+    threshold = STABLE_EIG_TOL * params.gamma
+    resolved = np.all(np.abs(eig - threshold)
+                      > EIG_ROUNDING * np.linalg.norm(jac, axis=(-2, -1))[:, None], axis=-1)
+    assert np.array_equal(pd.stable[kept][resolved], np.all(eig < threshold, axis=-1)[resolved])
+    assert not np.any(pd.physical[kept][~resolved])
+    assert np.array_equal(pd.physical, kept & (_box_violation(pd.states) <= BOUNDS_SLACK))
 
 
 @pytest.mark.parametrize("deltas, omegas, params", [

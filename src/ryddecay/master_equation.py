@@ -1,13 +1,18 @@
 """Lindblad master equation: exact propagation, observables, grid scans.
 
-Exact Lindblad propagation: sparse Liouvillian + expm_multiply. liouvillian
-assembles the generator on row-major vec(rho) once, and propagate evaluates
-exp(tL) vec(rho0) on an equally spaced sample grid with
-scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)). Every snapshot is checked for trace and hermiticity drift.
-Dimensions up to 2^MAX_SITES (N <= 10 sites) are supported. integrate_exact
-propagates one system this way; lindblad_rhs applies the generator as
-operator products and is kept as the independent oracle for liouvillian.
+Exact Lindblad propagation: sparse Liouvillian + truncated Taylor series.
+liouvillian assembles the generator on row-major vec(rho) once, and
+propagate evaluates exp(tL) vec(rho0) on an equally spaced sample grid with
+the module's Taylor core (_expm_samples), which follows Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011), algorithms 3.2 and 5.2: the shift
+mu = tr L / n, the exact 1-norm of L - mu I, and one power basis and one
+matrix product per block of samples. It draws no random numbers, and it
+refuses (ValueError) a generator whose plan needs more than
+MAX_TAYLOR_PRODUCTS sparse products. Every snapshot is checked for trace and
+hermiticity drift. Dimensions up to 2^MAX_SITES (N <= 10 sites) are
+supported. integrate_exact propagates one system this way; lindblad_rhs
+applies the generator as operator products and is kept as the independent
+oracle for liouvillian.
 
 The workflows propagate in the symmetry-invariant operator subspace instead
 (Buca & Prosen, NJP 14, 073007 (2012)): the steady-state scan
@@ -26,19 +31,20 @@ so the reduced generator and its full-space oracle share them.
 propagate_reduced is the one propagation core of both: it takes
 numpy.linalg.eig of L_red, L_red = R diag(lam) R^-1, and evaluates
 v(t) = R diag(exp(lam t)) R^-1 v0 in closed form; above EIG_MAX_DIM or
-COND_LIMIT it runs expm_multiply on L_red instead. liouvillian, propagate
+COND_LIMIT it runs the Taylor core on L_red instead. liouvillian, propagate
 and integrate_exact stay the full-space oracle of both, and Orbits.basis
 builds the 4^N-row basis B for the tests that compare with them.
 
-scipy.sparse is imported inside each function that builds a sparse matrix,
-and scipy.sparse.linalg inside _expm_samples, so importing this module
-loads numpy alone and the first exact call in a process pays the scipy
-import (about 0.2 s).
+scipy.sparse is imported inside each function that builds or multiplies a
+sparse matrix, so importing this module loads numpy alone and the first
+exact call in a process pays the scipy.sparse import (about 0.2 s). No path
+loads scipy.sparse.linalg.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -79,18 +85,42 @@ WINDOW_POINTS = 100
 DRIFT_LIMIT = 1e-6
 RENORM_THRESHOLD = 1e-12
 # Largest dimension of the symmetric subspace at which propagate_reduced
-# takes the eig closed form; above it expm_multiply on L_red is faster. The
-# switch is by dimension alone, so the steady-state scan and the coherence
-# cross-check take the same route on the same lattice. Per steady-state cell
-# on one BLAS thread (12 cells, both models), eig vs expm_multiply:
-# 3.3 vs 58 ms at 55 (N = 4 ring), 13-17 vs 68-79 ms at 136 (N = 5 ring,
-# N = 4 open chain), 193 vs 86 ms at 430 (N = 6 ring), 409 vs 94 ms at 544
-# (N = 5 open chain). eig grows as about dim^2.2 there, crossing near 290;
-# no chain has a dimension between 136 and 430. The coherence cross-check
-# per model (one BLAS thread, omega_a = 0.37, V = 10, median of 5): 6-7 ms
-# on the N = 4 ring (eig, 201 times to t = 2); 22-23 ms on the N = 6 ring
-# (expm_multiply, 26 times to t = 0.25), about 150 ms for 201 times to t = 2.
+# takes the eig closed form; above it the Taylor core (_expm_samples) on
+# L_red is faster. The switch is by dimension alone, so the steady-state scan
+# and the coherence cross-check take the same route on the same lattice. Per
+# steady-state cell on one BLAS thread (12 cells, both models, V = 10; the
+# best of 3-8 scans, over several runs on a shared machine), eig vs Taylor
+# core: 2 vs 16-21 ms at 55 (N = 4 ring), 11-14 vs 18-28 ms at 136 (N = 5
+# ring, N = 4 open chain), 139-166 vs 33-57 ms at 430 (N = 6 ring), 292-309
+# vs 29-48 ms at 544 (N = 5 open chain). eig grows as about dim^2.2 there,
+# crossing near 200; no chain has a dimension between 136 and 430. The
+# coherence cross-check per model (one BLAS thread, omega_a = 0.37, V = 10,
+# median of 5): 3 ms on the N = 4 ring (eig, 201 times to t = 2); 4-5 ms on
+# the N = 6 ring (Taylor, 26 times to t = 0.25), 9-12 ms for 201 times to
+# t = 2.
 EIG_MAX_DIM = 256
+# theta_m of Al-Mohy & Higham (2011): the largest ||tA||_1 for which the
+# degree-m truncated Taylor series of exp(tA) has a backward error within
+# double precision (m <= 30 from Higham's Functions of Matrices, table A.3;
+# the rest from the paper's table 3.1).
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2,
+    50: 8.5, 55: 9.9,
+}
+# the relative size below which the last two Taylor terms end a series
+TAYLOR_TOL = 2.0**-53
+# Most sparse products one _expm_samples call may plan. The plan grows as
+# ||tL||_1, so linearly in V, Delta and Omega. One N = 6 ring steady-state
+# cell (Delta = -6, Omega = 2.5, one model) plans 2,200 products at V = 10,
+# 1.67e6 at V = 1e4 (10 s) and 1.67e7 at V = 1e5, which is refused. A product
+# with its vector updates costs about 10 us at dimension 430 (N = 6 ring) and
+# 1.2 ms at 53,764 (N = 10 ring), so a plan at the limit runs for under a
+# minute at N = 6 but over an hour at N = 10.
+MAX_TAYLOR_PRODUCTS = 4_000_000
 
 
 @dataclass
@@ -169,9 +199,10 @@ def liouvillian(H, jumps) -> sp.csr_matrix:
 
 def _check_sample_grid(times: np.ndarray) -> None:
     """Raise ValueError unless times is a non-empty 1-D grid from t >= 0,
-    strictly increasing and equally spaced: the interval form of
-    expm_multiply needs equal steps, and callers pair the samples with
-    their own grid, which a sorted or merged copy would misalign."""
+    strictly increasing and equally spaced: the Taylor core (_expm_samples)
+    gets a block of samples from one power basis, which needs equal steps,
+    and callers pair the samples with their own grid, which a sorted or
+    merged copy would misalign."""
     if times.ndim != 1 or times.size == 0:
         raise ValueError("sample times must be a non-empty 1-D grid")
     if times[0] < 0:
@@ -182,33 +213,108 @@ def _check_sample_grid(times: np.ndarray) -> None:
         raise ValueError("sample times must be strictly increasing and equally spaced")
 
 
-# an L too large for float64 overflows expm_multiply's norm estimates, which
-# warn before scipy raises OverflowError
-@np.errstate(over="ignore", invalid="ignore")
-def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(tL) v at equally spaced, increasing times >= 0, one row per time.
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(m, s) minimising m s with s = ceil(norm / theta_m): s Taylor steps
+    of degree at most m reach exp(tA) x where ||tA||_1 = norm. This is the
+    exact-norm branch of Al-Mohy & Higham's fragment 3.1."""
+    if norm == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
+               key=lambda plan: plan[0] * plan[1])
 
-    The first sample time is reached with one expm_multiply call, the rest
-    of the grid with its interval form. That form starts at 0 because with
-    start > 0 and a large ||L|| t it overflowed (scipy 1.17). Its 1-norm
-    estimate draws from numpy's global RNG, so the global seed is pinned for
-    the call and the caller's RNG state restored afterwards: equal inputs
-    give equal bytes.
+
+def _taylor_blocks(q: int, s: int) -> tuple[int, int]:
+    """(r, blocks) for q equal intervals of a span that s Taylor steps
+    cross: each interval is cut into r substeps, and the q r substeps are
+    split evenly into blocks of at most floor(q r / s) substeps, so that no
+    block spans more than span / s."""
+    r = -(-s // q)
+    return r, -(-q * r // (q * r // s))
+
+
+def _taylor_grid(A, mu: float, x: np.ndarray, h: float, m: int, s: int,
+                 out: np.ndarray) -> None:
+    """Write exp(k h (A + mu I)) x into row k - 1 of out, k = 1..len(out),
+    by the plan (m, s) of the whole span len(out) h (Al-Mohy & Higham's
+    algorithm 5.2).
+
+    Each block of substeps from x_b builds one power basis
+    K_p = ((d h)^p / p!) A^p x_b over its span d h, stopping at degree m or
+    once the last two terms fall below TAYLOR_TOL times the partial sum (the
+    paper's stop, taken at the block's last substep), and gets its samples
+    in one matrix product: exp(k mu h) sum_p (k / d)^p K_p for the substeps
+    k = 1..d of the block that are sample times.
     """
-    # imported on first use, like scipy.sparse, to whose ~0.2 s it adds ~0.07 s
-    from scipy.sparse.linalg import expm_multiply
+    q = len(out)
+    r, blocks = _taylor_blocks(q, s)
+    h /= r
+    basis = np.empty((m + 1, x.size), dtype=out.dtype)
+    lo = 0
+    for b in range(1, blocks + 1):
+        hi = q * r * b // blocks
+        d = hi - lo
+        basis[0] = x
+        total = x.copy()
+        last = bound = np.abs(x).max()  # bound >= ||total||, to skip most norms of total
+        p = 0
+        while p < m:
+            p += 1
+            np.multiply(A @ basis[p - 1], d * h / p, out=basis[p])
+            total += basis[p]
+            term = np.abs(basis[p]).max()
+            bound += term
+            if (last + term <= TAYLOR_TOL * bound
+                    and last + term <= TAYLOR_TOL * np.abs(total).max()):
+                break
+            last = term
+        k = np.arange(-(-(lo + 1) // r) * r, hi + 1, r) - lo  # the block's sample substeps
+        if k.size:
+            rows = out[(lo + k[0]) // r - 1:(lo + k[-1]) // r]
+            np.matmul((k[:, None] / d) ** np.arange(p + 1), basis[:p + 1], out=rows)
+            rows *= np.exp(mu * h * k)[:, None]
+        x, lo = np.exp(mu * h * d) * total, hi
 
-    span = times[-1] - times[0]
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        if times[0] > 0:
-            v = expm_multiply(L * times[0], v)
-        if len(times) > 1:
-            v = expm_multiply(L, v, start=0.0, stop=span, num=len(times), endpoint=True)
-    finally:
-        np.random.set_state(rng_state)
-    return v.reshape(len(times), -1)
+
+def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(tL) v at equally spaced, increasing times >= 0, one row per time,
+    by truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011), algorithms 3.2 and 5.2) on the shifted A = L - mu I,
+    mu = tr L / n, with ||A||_1 taken exactly.
+
+    The first sample time is reached in s Taylor steps, and the rest of the
+    grid in blocks of samples that share one power basis (_taylor_grid).
+    The plans fix the number of sparse products before the first one: a
+    non-finite ||A||_1, or a plan above MAX_TAYLOR_PRODUCTS products (the
+    work grows as ||t L||_1, so as V), raises ValueError. No step draws
+    random numbers, so equal inputs give equal bytes.
+    """
+    import scipy.sparse as sp
+
+    n = L.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = L.diagonal().sum() / n
+        A = sp.csr_matrix(L - mu * sp.identity(n, dtype=L.dtype, format="csr"))
+        norm = float(abs(A).sum(axis=0).max())
+        reach = float(times[-1] * norm)  # ||tA||_1 at the last time
+    if not np.isfinite(reach):
+        raise ValueError(f"||tL||_1 is not finite (||L - mu I||_1 = {norm:.3g}); "
+                         "Delta, Omega or V too large")
+    q, span = len(times) - 1, times[-1] - times[0]
+    first = _taylor_plan(times[0] * norm) if times[0] > 0 else None
+    grid = _taylor_plan(span * norm) if q else None
+    products = ((first[0] * first[1] if first else 0)
+                + (grid[0] * _taylor_blocks(q, grid[1])[1] if grid else 0))
+    if products > MAX_TAYLOR_PRODUCTS:
+        raise ValueError(
+            f"exp(tL) would take more than {MAX_TAYLOR_PRODUCTS:,} sparse products "
+            f"(||L - mu I||_1 = {norm:.3g}, t up to {times[-1]:g}); Delta, Omega or V too large")
+    out = np.empty((len(times), n), dtype=np.result_type(A.dtype, v.dtype))
+    out[0] = v
+    if first:
+        _taylor_grid(A, mu, out[0], times[0], *first, out=out[:1])
+    if grid:
+        _taylor_grid(A, mu, out[0], span / q, *grid, out=out[1:])
+    return out
 
 
 def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray:
@@ -237,8 +343,9 @@ def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray
 @np.errstate(invalid="ignore")
 def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
     """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0, by
-    expm_multiply (see _expm_samples); any other grid raises ValueError. A
-    trace or hermiticity drift above DRIFT_LIMIT raises RuntimeError;
+    the Taylor core (see _expm_samples); any other grid, or an L whose plan
+    needs more than MAX_TAYLOR_PRODUCTS sparse products, raises ValueError.
+    A trace or hermiticity drift above DRIFT_LIMIT raises RuntimeError;
     snapshots whose trace drifts by more than RENORM_THRESHOLD are
     renormalized and counted.
     """
@@ -489,8 +596,8 @@ def reduced_drive(orbits: Orbits) -> sp.csr_matrix:
 class PropagationStats:
     """Diagnostics of propagations in the symmetric subspace, accumulated by
     propagate_reduced over the runs (cells) of one caller: the subspace
-    dimension, the runs evaluated in closed form (eig) and by
-    expm_multiply, the largest cond(R) met, the smallest Liouvillian gap of
+    dimension, the runs evaluated in closed form (eig) and by the Taylor
+    core (expm), the largest cond(R) met, the smallest Liouvillian gap of
     the eig runs (NaN without any), and the drift checks' largest drifts
     and renormalizations."""
 
@@ -543,7 +650,8 @@ def propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
     per time.
 
     gen is L_red (dense or sparse). Up to EIG_MAX_DIM it takes the eig
-    closed form, else (or when cond(R) > COND_LIMIT) expm_multiply. The
+    closed form, else (or when cond(R) > COND_LIMIT) the Taylor core
+    (_expm_samples, which raises ValueError when its plan is too long). The
     drift checks and renormalization of propagate apply: the trace is the
     trace row applied to v, and the hermiticity drift is
     max |rho - rho^dag| = 2 max |B Im v| = 2 max_o |(U Im v)_o| / sqrt|o|,

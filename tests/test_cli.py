@@ -699,6 +699,21 @@ def test_meanfield_round_trip_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# the Taylor core's work grows as ||tL||_1, so as V: one N = 6 cell plans
+# 1.67e6 sparse products per model at V = 1e4 (10 s) and 1.67e7 at V = 1e5.
+# The plan is checked before the first product, so a larger V exits at once.
+@pytest.mark.parametrize("command, cfg", [
+    ("steady-state", one_cell("steady-state", N=6, boundary="periodic", V=1e6)),
+    ("steady-state", one_cell("steady-state", N=6, boundary="periodic", V=1e200)),
+    ("coherence", {"verify_N": 6, "V": 1e6}),
+])
+def test_taylor_route_refuses_huge_work_fast(tmp_path, capsys, command, cfg):
+    with deadline(10):
+        run(tmp_path, command, cfg, expect=1)
+    assert "sparse products" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_csv_uses_full_precision(tmp_path):
     run(tmp_path, "coherence", {"V": 10.0, "t_max": 1.0, "n_times": 3})
     body = (tmp_path / "coherence.csv").read_text()
@@ -736,6 +751,7 @@ def test_only_exact_commands_load_scipy(tmp_path):
         ("coherence", {"verify_N": None, "n_times": 11}),
         ("steady-state", {"N": 11}),
         ("steady-state", one_cell("steady-state")),
+        ("steady-state", one_cell("steady-state", N=6, boundary="periodic")),
     ]
     out = _python(f"""
 import json, sys
@@ -748,8 +764,11 @@ for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     print(json.dumps([rc, {LOADED}]))
 """, str(tmp_path), json.dumps(calls))
     report = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
-    assert [rc for rc, _ in report] == [0, 0, 1, 0]
+    assert [rc for rc, _ in report] == [0, 0, 1, 0, 0]
     assert [loaded for _, loaded in report[:3]] == [[], [], []]
     assert "N <= 10 is required" in out.stderr
-    # the probe sees imports: the exact scan loads scipy.sparse
+    # the probe sees imports: the exact scan loads scipy.sparse, and the
+    # N = 6 ring's Taylor route (above EIG_MAX_DIM) no scipy solver
     assert "scipy.sparse" in report[3][1]
+    assert "scipy.sparse" in report[4][1]
+    assert "scipy.sparse.linalg" not in report[4][1]

@@ -259,21 +259,81 @@ def _same_rng_state(a, b):
 
 
 def test_scan_bytes_independent_of_global_rng():
-    outputs = []
-    for seed in (1, 2):
-        np.random.seed(seed)
-        before = np.random.get_state()
-        scan = scan_steady_state(
-            LAT4, ModelParams(V=10.0), np.array([-30.0, -6.0]), np.array([2.5, 10.0])
-        )
-        assert _same_rng_state(before, np.random.get_state())
-        outputs.append((scan.n_single.tobytes(), scan.n_collective.tobytes()))
-    assert outputs[0] == outputs[1]
+    # the eig route (N = 4) and the Taylor core (N = 6, above EIG_MAX_DIM)
+    for lattice, deltas, omegas in ((LAT4, [-30.0, -6.0], [2.5, 10.0]), (LAT6, [-6.0], [2.5])):
+        outputs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            scan = scan_steady_state(lattice, ModelParams(V=10.0), np.array(deltas),
+                                     np.array(omegas))
+            assert _same_rng_state(before, np.random.get_state())
+            outputs.append((scan.n_single.tobytes(), scan.n_collective.tobytes()))
+        assert outputs[0] == outputs[1]
+
+
+def _scipy_samples(gen, v, times):
+    """exp(tL) v on the grid by scipy's expm_multiply: one call to the first
+    time, then its interval form from 0."""
+    from scipy.sparse.linalg import expm_multiply
+
+    if times[0] > 0:
+        v = expm_multiply(gen * times[0], v)
+    if len(times) == 1:
+        return v[None, :]
+    return expm_multiply(gen, v, start=0.0, stop=times[-1] - times[0], num=len(times),
+                         endpoint=True)
+
+
+def _reduced_generator(model):
+    orbits = symmetry_orbits(LAT6)
+    gen = (reduced_liouvillian(orbits, LAT6, ModelParams(V=10.0), model)
+           - 6.0 * reduced_detuning(orbits) + 2.5 * reduced_drive(orbits))
+    return sp.csr_matrix(gen), orbits.coords(orbits.reps == 0)
+
+
+def _full_generator(model):
+    h, jumps = build_system(LAT3, ModelParams(V=10.0, Omega=2.5, Delta=-6.0), model)
+    return liouvillian(h, jumps), vacuum_density(8).ravel()
+
+
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+@pytest.mark.parametrize("system, times", [
+    (_reduced_generator, window_times()),  # real, dimension 430
+    # complex, dimension 64; [0.3, 1.0] has fewer intervals than Taylor
+    # steps, so each interval is crossed in substeps
+    (_full_generator, [0.3, 1.0]),
+    (_full_generator, [0.0, 0.7]),
+    (_full_generator, [1.0]),
+    (_full_generator, np.linspace(0.0, 0.25, 26)),
+])
+def test_taylor_core_matches_scipy_expm_multiply(system, times, model):
+    gen, v0 = system(model)
+    times = np.asarray(times, dtype=float)
+    ours = master_equation._expm_samples(gen, v0, times)
+    ref = _scipy_samples(gen, v0, times)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    scale = np.abs(ref).max(axis=1)
+    assert np.all(np.abs(ours - ref).max(axis=1) <= 1e-12 * scale)
+
+
+def test_taylor_core_refuses_a_non_finite_generator():
+    huge = sp.csr_matrix(np.diag([np.inf, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        propagate(huge, vacuum_density(2), np.array([0.0, 1.0]))
+
+
+def test_taylor_plan_above_the_product_limit_fails_the_scan(monkeypatch):
+    # a plan too long is an input error of the whole scan, not a cell's
+    # drift failure to be left NaN
+    monkeypatch.setattr(master_equation, "MAX_TAYLOR_PRODUCTS", 100)
+    with pytest.raises(ValueError, match="sparse products"):
+        scan_steady_state(LAT6, ModelParams(V=10.0), np.array([-6.0]), np.array([2.5]))
 
 
 def test_cli_import_leaves_out_sparse_linalg():
-    # scipy.sparse.linalg is imported on first use, and the eig closed form
-    # takes numpy.linalg, so importing the CLI loads neither scipy solver
+    # no path imports scipy.sparse.linalg, and the eig closed form takes
+    # numpy.linalg, so importing the CLI loads neither scipy solver
     src = str(Path(ryddecay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

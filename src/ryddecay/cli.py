@@ -400,7 +400,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                                        for xi, n in ens.jump_counts.items()})
                 evaluation[m].update(ens.evaluation)
                 max_cond = max(max_cond, ens.cond)
-                if not ens.cond <= COND_LIMIT:
+                if prop.lam is None:  # no trusted eigenbasis: dense expm
                     expm_cells[m].append({"model": m, "Delta": float(D), "Omega": float(O)})
     propagator = {"cond_limit": COND_LIMIT, "max_cond": max_cond,
                   "expm_cells": [cell for m in models for cell in expm_cells[m]],

@@ -7,8 +7,8 @@ the module's Taylor core (_expm_samples), which follows Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 488 (2011), algorithms 3.2 and 5.2: the shift
 mu = tr L / n, the exact 1-norm of L - mu I, and one power basis and one
 matrix product per block of samples. It draws no random numbers, and it
-refuses (ValueError) a generator whose plan needs more than
-MAX_TAYLOR_PRODUCTS sparse products. Every snapshot is checked for trace and
+refuses (ValueError) a plan whose sparse products times the non-zeros of
+L - mu I exceed MAX_TAYLOR_WORK. Every snapshot is checked for trace and
 hermiticity drift. Dimensions up to 2^MAX_SITES (N <= 10 sites) are
 supported. integrate_exact propagates one system this way; lindblad_rhs
 applies the generator as operator products and is kept as the independent
@@ -28,17 +28,19 @@ observable rows: neither workflow builds a 4^N-row or 4^N x 4^N object. The
 site occupations of i and j and their excited-neighbour and excited-bond
 counts come from operators, the one module that knows the basis encoding,
 so the reduced generator and its full-space oracle share them.
-propagate_reduced is the one propagation core of both: it takes
-numpy.linalg.eig of L_red, L_red = R diag(lam) R^-1, and evaluates
-v(t) = R diag(exp(lam t)) R^-1 v0 in closed form; above EIG_MAX_DIM or
-COND_LIMIT it runs the Taylor core on L_red instead. liouvillian, propagate
-and integrate_exact stay the full-space oracle of both, and Orbits.basis
-builds the 4^N-row basis B for the tests that compare with them.
+The package's one closed form, EigenForm, is exp(tau G) =
+vecs diag(exp(tau lam)) inv of a dense generator, from its one
+numpy.linalg.eig and its one test against COND_LIMIT (eigen_form).
+propagate_reduced, the one propagation core of both workflows, takes it for
+L_red up to EIG_MAX_DIM when the eigenbasis is trusted, else the Taylor core;
+the jump trajectories take it for G = -i H_eff. liouvillian, propagate and
+integrate_exact stay the full-space oracle of propagate_reduced, and
+Orbits.basis builds the 4^N-row basis B for the tests that compare with them.
 
 scipy.sparse is imported inside each function that builds or multiplies a
 sparse matrix, so importing this module loads numpy alone and the first
-exact call in a process pays the scipy.sparse import (about 0.2 s). No path
-loads scipy.sparse.linalg.
+exact call in a process pays the scipy.sparse import (about 0.2 s). Only the
+expm fallback loads scipy.linalg, and no path scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ from .operators import (
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Largest condition number of an eigenvector matrix for which the eigenbasis
-# is trusted: R of L_red = R diag(lam) R^-1 here, V of H_eff in the jump
-# trajectories. The N = 1 atom at Delta = 0, Omega = gamma/4 is an
+# Largest condition number of an eigenvector matrix for which eigen_form
+# trusts the eigenbasis: R of L_red = R diag(lam) R^-1 here, V of H_eff in
+# the jump trajectories. The N = 1 atom at Delta = 0, Omega = gamma/4 is an
 # exceptional point of H_eff; there cond(V) reads about 9e7 and the closed
 # form is off by 3.5e-9 from expm.
 COND_LIMIT = 1e6
@@ -113,14 +115,13 @@ TAYLOR_THETA = {
 }
 # the relative size below which the last two Taylor terms end a series
 TAYLOR_TOL = 2.0**-53
-# Most sparse products one _expm_samples call may plan. The plan grows as
-# ||tL||_1, so linearly in V, Delta and Omega. One N = 6 ring steady-state
-# cell (Delta = -6, Omega = 2.5, one model) plans 2,200 products at V = 10,
-# 1.67e6 at V = 1e4 (10 s) and 1.67e7 at V = 1e5, which is refused. A product
-# with its vector updates costs about 10 us at dimension 430 (N = 6 ring) and
-# 1.2 ms at 53,764 (N = 10 ring), so a plan at the limit runs for under a
-# minute at N = 6 but over an hour at N = 10.
-MAX_TAYLOR_PRODUCTS = 4_000_000
+# Most multiply-adds one _expm_samples call may plan: sparse products times
+# the non-zeros of L - mu I. The products grow as ||tL||_1, so linearly in V,
+# Delta and Omega. One N = 6 ring steady-state cell (Delta = -6, Omega = 2.5,
+# one model, about 5,000 non-zeros) plans 2,200 products at V = 10, 1.67e6 at
+# V = 1e4 (10 s) and 1.67e7 at V = 1e5, which is refused. The N = 10 ring
+# (1.2e6 non-zeros, 1.2 ms a product) is held to about 16,000 products (20 s).
+MAX_TAYLOR_WORK = 2e10
 
 
 @dataclass
@@ -284,8 +285,8 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     The first sample time is reached in s Taylor steps, and the rest of the
     grid in blocks of samples that share one power basis (_taylor_grid).
     The plans fix the number of sparse products before the first one: a
-    non-finite ||A||_1, or a plan above MAX_TAYLOR_PRODUCTS products (the
-    work grows as ||t L||_1, so as V), raises ValueError. No step draws
+    non-finite ||A||_1, or products times A's non-zeros above MAX_TAYLOR_WORK
+    (the work grows as ||t L||_1, so as V), raises ValueError. No step draws
     random numbers, so equal inputs give equal bytes.
     """
     import scipy.sparse as sp
@@ -304,10 +305,11 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     grid = _taylor_plan(span * norm) if q else None
     products = ((first[0] * first[1] if first else 0)
                 + (grid[0] * _taylor_blocks(q, grid[1])[1] if grid else 0))
-    if products > MAX_TAYLOR_PRODUCTS:
+    if products * A.nnz > MAX_TAYLOR_WORK:
         raise ValueError(
-            f"exp(tL) would take more than {MAX_TAYLOR_PRODUCTS:,} sparse products "
-            f"(||L - mu I||_1 = {norm:.3g}, t up to {times[-1]:g}); Delta, Omega or V too large")
+            f"exp(tL) would take {products:,} sparse products of {A.nnz:,} non-zeros, "
+            f"over {MAX_TAYLOR_WORK:.0e} multiply-adds (||L - mu I||_1 = {norm:.3g}, "
+            f"t up to {times[-1]:g}); Delta, Omega or V too large")
     out = np.empty((len(times), n), dtype=np.result_type(A.dtype, v.dtype))
     out[0] = v
     if first:
@@ -315,6 +317,49 @@ def _expm_samples(L, v: np.ndarray, times: np.ndarray) -> np.ndarray:
     if grid:
         _taylor_grid(A, mu, out[0], span / q, *grid, out=out[1:])
     return out
+
+
+@dataclass
+class EigenForm:
+    """exp(tau G) of a dense generator G: vecs diag(exp(tau lam)) inv, or dense
+    expm of gen where eigen_form distrusts the eigenbasis (lam, vecs, inv None)."""
+
+    gen: np.ndarray
+    cond: float
+    lam: np.ndarray | None = None
+    vecs: np.ndarray | None = None
+    inv: np.ndarray | None = None
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """What rows propagates: inv @ v, or v itself on the expm route."""
+        return v if self.vecs is None else self.inv @ v
+
+    def rows(self, coefs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """exp(taus[r] G) v_r, one row per tau, from the coefficients
+        coefs[r] of v_r; on the closed form one row may serve every tau."""
+        if self.vecs is None:
+            from scipy.linalg import expm
+
+            return np.array([expm(tau * self.gen) @ c for c, tau in zip(coefs, taus)])
+        phases = np.exp(np.multiply.outer(taus, self.lam)) * coefs
+        if len(taus) == 1:
+            # OpenBLAS sends a one-row product down its matrix-vector path,
+            # whose last bits differ from those of a row of a larger batch
+            return (np.repeat(phases, 2, axis=0) @ self.vecs.T)[:1]
+        return phases @ self.vecs.T
+
+
+def eigen_form(mat, scale: complex = 1.0) -> EigenForm:
+    """The EigenForm of G = scale mat from numpy.linalg.eig of the sparse or
+    dense mat; -i H_eff takes scale -1j to keep the rounding of H_eff's eig."""
+    import scipy.sparse as sp
+
+    mat = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    lam, vecs = np.linalg.eig(mat)
+    cond = float(np.linalg.cond(vecs))
+    if not cond <= COND_LIMIT:
+        return EigenForm(scale * mat, cond)
+    return EigenForm(scale * mat, cond, scale * lam, vecs, np.linalg.inv(vecs))
 
 
 def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray:
@@ -344,7 +389,7 @@ def _check_drift(acc, traces: np.ndarray, herm_drifts: np.ndarray) -> np.ndarray
 def propagate(L: sp.csr_matrix, rho0: np.ndarray, times) -> IntegrationResult:
     """rho(t) = exp(tL) rho0 at equally spaced, increasing times >= 0, by
     the Taylor core (see _expm_samples); any other grid, or an L whose plan
-    needs more than MAX_TAYLOR_PRODUCTS sparse products, raises ValueError.
+    needs more than MAX_TAYLOR_WORK multiply-adds, raises ValueError.
     A trace or hermiticity drift above DRIFT_LIMIT raises RuntimeError;
     snapshots whose trace drifts by more than RENORM_THRESHOLD are
     renormalized and counted.
@@ -625,36 +670,17 @@ class SteadyStateScan(PropagationStats):
     errors: list[str] = field(default_factory=list)
 
 
-def _eig_window(gen: np.ndarray, v0: np.ndarray, times: np.ndarray, stats: PropagationStats):
-    """v(t) = R diag(exp(lam t)) R^-1 v0 at the times, one column per time,
-    or None when cond(R) exceeds COND_LIMIT. Updates stats' cond and gap
-    (the least decay rate -Re lam besides the steady state's 0)."""
-    lam, vecs = np.linalg.eig(gen)
-    cond = float(np.linalg.cond(vecs))
-    stats.max_cond = max(stats.max_cond, cond)
-    if not cond <= COND_LIMIT:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.exp(np.outer(lam, times))
-        states = vecs @ (growth * np.linalg.solve(vecs, v0)[:, None])
-    if not np.all(np.isfinite(states)):
-        # rounding in eig of a huge L_red left some Re lam >> 0
-        raise OverflowError("the reduced Liouvillian's eigenvalues lost to rounding")
-    stats.min_gap = float(np.fmin(stats.min_gap, -np.sort(lam.real)[-2]))
-    return states
-
-
 def propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
                       stats: PropagationStats) -> np.ndarray:
     """v(t) = exp(t L_red) v0 in the symmetric basis of orbits, one column
     per time.
 
-    gen is L_red (dense or sparse). Up to EIG_MAX_DIM it takes the eig
-    closed form, else (or when cond(R) > COND_LIMIT) the Taylor core
-    (_expm_samples, which raises ValueError when its plan is too long). The
-    drift checks and renormalization of propagate apply: the trace is the
-    trace row applied to v, and the hermiticity drift is
-    max |rho - rho^dag| = 2 max |B Im v| = 2 max_o |(U Im v)_o| / sqrt|o|,
+    gen is L_red (dense or sparse). Up to EIG_MAX_DIM it takes its
+    EigenForm's closed form (OverflowError if that overflows), else, or when
+    cond(R) > COND_LIMIT, the Taylor core (_expm_samples, ValueError when its
+    plan is too long). The drift checks and renormalization of propagate
+    apply: the trace is the trace row applied to v, and the hermiticity drift
+    is max |rho - rho^dag| = 2 max |B Im v| = 2 max_o |(U Im v)_o| / sqrt|o|,
     which only the complex eig route can have. times must be a non-empty,
     strictly increasing and equally spaced grid from t >= 0 (ValueError); a
     drift above DRIFT_LIMIT raises RuntimeError. The dimension, route, cond,
@@ -664,13 +690,19 @@ def propagate_reduced(gen, v0: np.ndarray, times: np.ndarray, orbits: Orbits,
 
     stats.reduced_dim = gen.shape[0]
     _check_sample_grid(times)
-    states = None
-    if gen.shape[0] <= EIG_MAX_DIM:
-        states = _eig_window(gen.toarray() if sp.issparse(gen) else gen, v0, times, stats)
-    if states is None:
+    form = eigen_form(gen) if gen.shape[0] <= EIG_MAX_DIM else None
+    stats.max_cond = max(stats.max_cond, form.cond if form else 0.0)
+    if form is None or form.lam is None:
         states = _expm_samples(sp.csr_matrix(gen), v0, times).T
         stats.expm_cells += 1
     else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = form.rows(form.coefficients(v0), times).T
+        if not np.all(np.isfinite(states)):
+            # rounding in eig of a huge L_red left some Re lam >> 0
+            raise OverflowError("the reduced Liouvillian's eigenvalues lost to rounding")
+        # the gap: the least decay rate -Re lam besides the steady state's 0
+        stats.min_gap = float(np.fmin(stats.min_gap, -np.sort(form.lam.real)[-2]))
         stats.eig_cells += 1
     traces = orbits.row(orbits.diagonal).real @ states
     herm = (2 * (np.abs(orbits.unitary @ states.imag) / np.sqrt(orbits.size)[:, None]).max(axis=0)

@@ -1,10 +1,12 @@
 """Quantum-jump Monte Carlo unraveling of either dissipation model.
 
 Waiting-time algorithm (Dalibard, Castin & Molmer, PRL 68, 580 (1992)):
-between jumps psi(t0 + tau) = V exp(-i lam tau) V^-1 psi(t0), from one
-eigendecomposition H_eff = H - (i/2) sum_j L_j^dag L_j = V diag(lam) V^-1 per
-(Delta, Omega) cell, shared by both models (dense expm if cond(V) >
-COND_LIMIT). A stretch between jumps is evaluated on the sample grid in
+between jumps psi(t0 + tau) = exp(-i H_eff tau) psi(t0), H_eff = H - (i/2)
+sum_j L_j^dag L_j, in the exact layer's closed form
+(master_equation.EigenForm, G = -i H_eff), which no_jump_propagator builds
+from one numpy.linalg.eig of H_eff per (Delta, Omega) cell for both models;
+where the eigenbasis is not trusted (cond(V) > COND_LIMIT), its rows come
+from dense expm. A stretch between jumps is evaluated on the sample grid in
 chunks of FIRST_CHUNK rows that double, up to the first sample at or below a
 uniform threshold r; the norm does not increase between jumps, so that
 sample and the one before it bracket the jump. Its time is the root of
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticeSpec, neighbor_table
-from .master_equation import COND_LIMIT
+from .master_equation import EigenForm, eigen_form
 from .operators import (
     ModelParams,
     check_model,
@@ -77,7 +79,7 @@ class TrajectoryEnsembleResult:
     master_seed: int
     samples: np.ndarray = field(repr=False, default=None)  # (n_traj, n_times)
     jump_counts: dict = field(default_factory=dict)  # xi (None: single) -> jumps
-    propagator: NoJumpPropagator | None = field(repr=False, default=None)
+    propagator: EigenForm | None = field(repr=False, default=None)
     # rows_evaluated, samples_kept and root_steps summed over the trajectories
     evaluation: dict = field(default_factory=dict)
 
@@ -100,45 +102,10 @@ class TrajectoryEnsembleResult:
         return mean, float(np.std(per_traj, ddof=1) / np.sqrt(self.n_traj))
 
 
-@dataclass
-class NoJumpPropagator:
-    """exp(-i H_eff tau) from H_eff = vecs diag(lam) inv, or from dense expm
-    of h when cond exceeds COND_LIMIT (then lam, vecs and inv are None)."""
-
-    h: np.ndarray
-    cond: float
-    lam: np.ndarray | None = None
-    vecs: np.ndarray | None = None
-    inv: np.ndarray | None = None
-
-    def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """What rows propagates: V^-1 psi, or psi itself on the expm route."""
-        return psi if self.vecs is None else self.inv @ psi
-
-    def rows(self, coefs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """The state at offset taus[r] from coefficient row coefs[r], per row."""
-        if self.vecs is None:
-            from scipy.linalg import expm
-
-            return np.array([expm(-1j * tau * self.h) @ c for c, tau in zip(coefs, taus)])
-        phases = np.exp(-1j * np.multiply.outer(taus, self.lam)) * coefs
-        if len(taus) == 1:
-            # OpenBLAS sends a one-row product down its matrix-vector path,
-            # whose last bits differ from those of a row of a larger batch
-            return (np.repeat(phases, 2, axis=0) @ self.vecs.T)[:1]
-        return phases @ self.vecs.T
-
-
-def no_jump_propagator(h_eff) -> NoJumpPropagator:
-    """Diagonalise H_eff (sparse or dense) once, for any number of trajectories."""
-    import scipy.sparse as sp
-
-    h = h_eff.toarray() if sp.issparse(h_eff) else np.asarray(h_eff, dtype=complex)
-    lam, vecs = np.linalg.eig(h)
-    cond = float(np.linalg.cond(vecs))
-    if not cond <= COND_LIMIT:
-        return NoJumpPropagator(h, cond)
-    return NoJumpPropagator(h, cond, lam, vecs, np.linalg.inv(vecs))
+def no_jump_propagator(h_eff) -> EigenForm:
+    """exp(-i H_eff tau) from one eigendecomposition of H_eff (sparse or
+    dense), for any number of trajectories."""
+    return eigen_form(h_eff, -1j)
 
 
 def _weight_table(jumps) -> np.ndarray:
@@ -277,14 +244,14 @@ def evolve_trajectory(
     """One quantum-jump trajectory with observable samples on a fixed grid:
     the lockstep core on a batch of one.
 
-    h_eff is the effective Hamiltonian or its NoJumpPropagator.
+    h_eff is the effective Hamiltonian or its no_jump_propagator.
     observable_diag is the diagonal of the sampled observable in the
     computational basis (defaults to nothing; pass excitation density /
     use run_ensemble for the standard protocol). Samples are taken from the
     normalized state; sample_times defaults to [t_final].
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    prop = h_eff if isinstance(h_eff, NoJumpPropagator) else no_jump_propagator(h_eff)
+    prop = h_eff if isinstance(h_eff, EigenForm) else no_jump_propagator(h_eff)
     sample_times = [t_final] if sample_times is None else sample_times
     return _evolve(prop, list(jumps), psi0, t_final, sample_times, [rng], observable_diag)[0]
 
@@ -299,13 +266,13 @@ def run_ensemble(
     t_final: float = 5.0,
     sample_times=None,
     threads: int = 1,
-    propagator: NoJumpPropagator | None = None,
+    propagator: EigenForm | None = None,
 ) -> TrajectoryEnsembleResult:
     """Ensemble of independent trajectories with deterministic child seeds,
     all advanced together by the lockstep core in this process; threads is
     accepted for old callers and starts nothing.
 
-    propagator is the NoJumpPropagator of the cell's H_eff, built here when
+    propagator is the no_jump_propagator of the cell's H_eff, built here when
     not given. H_eff does not depend on the model, so the one returned in
     the result serves the other model of the same cell.
     """

@@ -51,6 +51,8 @@ DELETED = [
     ("ryddecay.operators", "neighbor_count_vector"),
     ("ryddecay.operators", "_bit_shift"),
     ("ryddecay.master_equation", "_excited_neighbours"),
+    ("ryddecay.master_equation", "_eig_window"),
+    ("ryddecay.trajectories", "NoJumpPropagator"),
 ]
 
 
@@ -93,3 +95,38 @@ def test_no_module_imports_a_private_name_of_another():
             offenders += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
                           for alias in node.names if _is_private(alias.name)]
     assert offenders == []
+
+
+def _functions_where(predicate) -> set[tuple[str, str | None]]:
+    """(module file, innermost enclosing function) of every node in the
+    package's modules that satisfies predicate."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                found.add((module, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, module, inner)
+
+    for path in sorted(Path(ryddecay.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    return found
+
+
+def _is_eig_call(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in (
+        "eig", "linalg.eig", "np.linalg.eig", "numpy.linalg.eig")
+
+
+def _compares_cond_limit(node) -> bool:
+    return isinstance(node, ast.Compare) and any(
+        (isinstance(n, ast.Name) and n.id == "COND_LIMIT")
+        or (isinstance(n, ast.Attribute) and n.attr == "COND_LIMIT") for n in ast.walk(node))
+
+
+def test_one_eigendecomposition_and_one_cond_limit_decision():
+    # the closed form exp(tau G) = vecs diag(exp(tau lam)) inv is built in one
+    # place for L_red and -i H_eff alike, and so is the choice of its route
+    assert _functions_where(_is_eig_call) == {("master_equation.py", "eigen_form")}
+    assert _functions_where(_compares_cond_limit) == {("master_equation.py", "eigen_form")}

@@ -745,14 +745,10 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_only_exact_commands_load_scipy(tmp_path):
-    calls = [
-        ("meanfield", {"n_delta": 11, "n_omega": 11, "cut_n_delta": 41}),
-        ("coherence", {"verify_N": None, "n_times": 11}),
-        ("steady-state", {"N": 11}),
-        ("steady-state", one_cell("steady-state")),
-        ("steady-state", one_cell("steady-state", N=6, boundary="periodic")),
-    ]
+def _loaded_after_each(tmp_path, calls):
+    """Run the (command, config) calls in turn in one fresh interpreter.
+    Returns [exit code, the modules LOADED so far] per call, and the
+    finished process."""
     out = _python(f"""
 import json, sys
 from ryddecay import cli
@@ -763,7 +759,18 @@ for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     rc = cli.main([command, "--config", path, "--out", f"{{sys.argv[1]}}/out{{k}}"])
     print(json.dumps([rc, {LOADED}]))
 """, str(tmp_path), json.dumps(calls))
-    report = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
+    return [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")], out
+
+
+def test_only_exact_commands_load_scipy(tmp_path):
+    calls = [
+        ("meanfield", {"n_delta": 11, "n_omega": 11, "cut_n_delta": 41}),
+        ("coherence", {"verify_N": None, "n_times": 11}),
+        ("steady-state", {"N": 11}),
+        ("steady-state", one_cell("steady-state")),
+        ("steady-state", one_cell("steady-state", N=6, boundary="periodic")),
+    ]
+    report, out = _loaded_after_each(tmp_path, calls)
     assert [rc for rc, _ in report] == [0, 0, 1, 0, 0]
     assert [loaded for _, loaded in report[:3]] == [[], [], []]
     assert "N <= 10 is required" in out.stderr
@@ -772,3 +779,19 @@ for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     assert "scipy.sparse" in report[3][1]
     assert "scipy.sparse" in report[4][1]
     assert "scipy.sparse.linalg" not in report[4][1]
+
+
+def test_trajectories_load_scipy_linalg_only_for_expm_cells(tmp_path):
+    # the closed form takes numpy.linalg alone; dense expm (scipy.linalg)
+    # serves only a cell without a trusted eigenbasis, here the N = 1 atom at
+    # the exceptional point Delta = 0, Omega = gamma/4, which proves that the
+    # probe sees the import
+    calls = [
+        ("trajectories", one_cell("trajectories", N=4, boundary="periodic", model="both")),
+        ("trajectories", one_cell("trajectories", N=1, delta_min=0.0, delta_max=0.0,
+                                  omega_min=0.25, omega_max=0.25)),
+    ]
+    report, _ = _loaded_after_each(tmp_path, calls)
+    assert [rc for rc, _ in report] == [0, 0]
+    assert "scipy.sparse" in report[0][1] and "scipy.linalg" not in report[0][1]
+    assert "scipy.linalg" in report[1][1]

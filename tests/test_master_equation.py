@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from ryddecay.operators import (
     ModelParams,
     build_system,
     driven_hamiltonian,
+    effective_hamiltonian,
     excitation_count_vector,
     jump_operators,
     neighborhood_projector,
@@ -326,9 +328,67 @@ def test_taylor_core_refuses_a_non_finite_generator():
 def test_taylor_plan_above_the_product_limit_fails_the_scan(monkeypatch):
     # a plan too long is an input error of the whole scan, not a cell's
     # drift failure to be left NaN
-    monkeypatch.setattr(master_equation, "MAX_TAYLOR_PRODUCTS", 100)
+    monkeypatch.setattr(master_equation, "MAX_TAYLOR_WORK", 100)
     with pytest.raises(ValueError, match="sparse products"):
         scan_steady_state(LAT6, ModelParams(V=10.0), np.array([-6.0]), np.array([2.5]))
+
+
+def test_taylor_plan_is_bounded_by_work_not_products():
+    # about 1.1e6 sparse products, fewer than an N = 6 ring cell at V = 1e4
+    # plans, but each of 2e5 non-zeros: refused before the first product
+    n = 100_000
+    gen = 1e5 * sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1],
+                         format="csr")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="sparse products"):
+        master_equation._expm_samples(gen, np.ones(n), np.array([0.0, 1.0]))
+    assert time.perf_counter() - start < 1.0
+
+
+def _heff_case():
+    """G = -i H_eff of the N = 4 ring, a normalised state, and exp(tau G) psi
+    by dense expm per tau."""
+    from scipy.linalg import expm
+
+    h, jumps = build_system(LAT4, ModelParams(V=10.0, Omega=10.0, Delta=-6.0), COLLECTIVE)
+    heff = effective_hamiltonian(h, jumps).toarray()
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    taus = np.linspace(0.0, 3.0, 31)
+    return (master_equation.eigen_form(heff, -1j), psi, taus,
+            np.array([expm(-1j * tau * heff) @ psi for tau in taus]))
+
+
+def _reduced_case():
+    """L_red of the N = 4 ring from the vacuum, and the Taylor core's samples."""
+    orbits = symmetry_orbits(LAT4)
+    gen = (reduced_liouvillian(orbits, LAT4, ModelParams(V=10.0), COLLECTIVE)
+           - 6.0 * reduced_detuning(orbits) + 2.5 * reduced_drive(orbits))
+    v0, times = orbits.coords(orbits.reps == 0), window_times()
+    return (master_equation.eigen_form(gen), v0, times,
+            master_equation._expm_samples(gen, v0, times))
+
+
+@pytest.mark.parametrize("route", ["eig", "expm"])
+@pytest.mark.parametrize("case", [_heff_case, _reduced_case])
+def test_eigen_form_rows_match_their_references(case, route, monkeypatch):
+    # the one closed form, on both of its generators; COND_LIMIT = 0 forces
+    # the dense expm rows
+    if route == "expm":
+        monkeypatch.setattr(master_equation, "COND_LIMIT", 0.0)
+    form, v, taus, ref = case()
+    assert (form.lam is None) == (route == "expm")
+    coefs = form.coefficients(v)
+    batch = form.rows(np.tile(coefs, (len(taus), 1)), taus)
+    assert batch.shape == ref.shape
+    assert np.max(np.abs(batch - ref)) <= 1e-12 * np.abs(ref).max()
+    # on the closed form one coefficient row serves every tau; on both
+    # routes a row's bits do not depend on the batch it is evaluated in
+    if route == "eig":
+        assert form.rows(coefs, taus).tobytes() == batch.tobytes()
+    for k in range(len(taus)):
+        assert form.rows(coefs[None, :], taus[k:k + 1])[0].tobytes() == batch[k].tobytes()
 
 
 def test_cli_import_leaves_out_sparse_linalg():

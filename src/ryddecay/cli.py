@@ -129,13 +129,21 @@ def _fmt(x: float) -> str:
 
 def write_csv(path: Path, meta: dict, columns: list[str], data: np.ndarray) -> None:
     """The '#' header, then one line per row of the 2-D float array data; a
-    non-finite value is written as an empty field."""
+    non-finite value is written as an empty field.
+
+    Each distinct float64 bit pattern is formatted once by _fmt, and the body
+    is one %-format of the gathered strings. Patterns are compared as bits,
+    not values: -0.0 == 0.0, yet they print as "-0" and "0"; and every NaN
+    payload stays a pattern of its own, each written as the empty field."""
+    data = np.asarray(data, dtype=np.float64)
+    bits, inverse = np.unique(data.ravel().view(np.int64), return_inverse=True)
+    text = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    line = ",".join(["%s"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, val in meta.items():
             fh.write(f"# {key}: {val}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
-        for row in data.tolist():
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(line * data.shape[0] % tuple(text[inverse].tolist()))
 
 
 def write_manifest(path: Path, command: str, config: dict, outputs: list[str],

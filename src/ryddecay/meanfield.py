@@ -182,13 +182,18 @@ def mf_jacobian(
 ) -> np.ndarray:
     """Jacobian of mf_rhs, shape (..., 3, 3)."""
     n, s_x, s_y, D, O, g, w, u, sigma = _terms(state, params, sign_convention, model)
-    z = np.zeros_like(n)
     a = 0.5 * g * (u * n + 1.0)
-    return np.stack([np.stack(row, axis=-1) for row in (
-        [-g + z, z, O + z],
-        [-0.5 * g * u * s_x - w * s_y, -a, -D - w * n],
-        [-0.5 * g * u * s_y + w * s_x - 4.0 * O + z, sigma * D + w * n, -a],
-    )], axis=-2)
+    jac = np.empty(np.broadcast_shapes(n.shape, np.shape(D), np.shape(O)) + (3, 3))
+    # + 0.0 writes a zero entry as +0.0, never -0.0
+    jac[..., 0, 0] = -g + 0.0
+    jac[..., 0, 1] = 0.0
+    jac[..., 0, 2] = O + 0.0
+    jac[..., 1, 0] = -0.5 * g * u * s_x - w * s_y
+    jac[..., 1, 1] = jac[..., 2, 2] = -a
+    jac[..., 1, 2] = -D - w * n
+    jac[..., 2, 0] = -0.5 * g * u * s_y + w * s_x - 4.0 * O + 0.0
+    jac[..., 2, 1] = sigma * D + w * n
+    return jac
 
 
 def _scaled(params: MeanFieldParams) -> MeanFieldParams:
@@ -256,7 +261,8 @@ def _solve(candidates, valid, params, sign_convention, model, iters) -> PhaseDia
 
     stable = np.zeros_like(kept)
     physical = kept & (_box_violation(x) <= BOUNDS_SLACK)
-    jac = mf_jacobian(x, cells, sign_convention, model)[kept]
+    # the kept candidates' Jacobians only, each with its own cell's drive
+    jac = mf_jacobian(x[kept][:, None], rows(np.nonzero(kept)[0]), sign_convention, model)[:, 0]
     eig, near = _spectrum(jac)
     if near.any():
         eig[near] = np.linalg.eigvals(jac[near])

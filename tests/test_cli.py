@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ryddecay
 from ryddecay import cli, coherence, master_equation, operators, trajectories
@@ -722,6 +723,64 @@ def test_csv_uses_full_precision(tmp_path):
     val = data[1].split(",")[1]
     assert float(val) == pytest.approx(float(format(float(val), ".17g")), abs=0)
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def _from_bits(*patterns: int) -> list[float]:
+    return np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+def _csv_reference(meta, columns, data) -> str:
+    """What write_csv must write: one format(x, ".17g") per finite field,
+    an empty field otherwise."""
+    lines = [f"# {key}: {val}" for key, val in meta.items()]
+    lines.append(f"# columns: {','.join(columns)}")
+    lines += [",".join(format(x, ".17g") if np.isfinite(x) else "" for x in row)
+              for row in np.asarray(data, dtype=np.float64).tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def _check_write_csv(tmp_path, data):
+    data = np.asarray(data, dtype=np.float64)
+    meta, columns = {"command": "test", "V": 10.0}, [f"c{i}" for i in range(data.shape[1])]
+    path = tmp_path / "out.csv"
+    cli.write_csv(path, meta, columns, data)
+    assert path.read_bytes() == _csv_reference(meta, columns, data).encode()
+
+
+@pytest.mark.parametrize("data", [
+    # quiet, negative, payload-carrying and signalling NaNs
+    [_from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                0x7FF0000000000001, 1)],
+    [[np.inf, -np.inf, 1.0], [-np.inf, np.nan, np.inf]],
+    [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]],
+    [[5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]],
+    [[1.0, -3.0, 0.0], [2.0 ** 53, 1e16, 1.0], [-3.0, 2.0 ** 53, 100.0]],
+    np.empty((0, 3)),
+    [[0.1], [-0.0], [np.nan], [0.1], [0.0]],
+], ids=["nan", "inf", "signed-zero", "extremes", "integer-valued", "zero-rows", "one-column"])
+def test_write_csv_matches_per_field_format(tmp_path, data):
+    _check_write_csv(tmp_path, data)
+
+
+@settings(max_examples=200, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+    # a small pool gives repeated values; the bit patterns give every payload
+    elements=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, np.nan]),
+                       st.integers(0, 2 ** 64 - 1).map(lambda b: _from_bits(b)[0]))))
+def test_write_csv_matches_per_field_format_on_any_array(tmp_path, data):
+    _check_write_csv(tmp_path, data)
+
+
+def test_write_csv_formats_each_bit_pattern_once(tmp_path, monkeypatch):
+    data = np.array([[0.5, -0.0, np.nan], [0.5, 0.0, np.nan], [0.25, -0.0, -np.nan],
+                     [0.5, 0.0, np.inf]])
+    calls = []
+    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or _fmt(x))
+    _check_write_csv(tmp_path, data)
+    # 0.5, 0.25, -0.0, 0.0, nan, -nan and inf: 7 patterns in 12 fields
+    assert len(calls) == len(np.unique(data.view(np.int64))) == 7
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -102,6 +102,33 @@ def test_jacobian_matches_finite_differences():
             assert np.allclose(jac, fd, atol=1e-7)
 
 
+@pytest.mark.parametrize("model", [SINGLE, COLLECTIVE])
+@pytest.mark.parametrize("convention", [ORACLE_VERIFIED, AS_PRINTED])
+def test_jacobian_batch_is_bit_exact(model, convention):
+    # every entry against its formula, each zero written as +0.0, on a batch
+    # of (cells, candidates) with signed zeros in the states and the drive
+    rng = np.random.default_rng(5)
+    zeros = np.array([0.0, -0.0])
+    states = np.where(rng.random((6, 3, 3)) < 0.3, rng.choice(zeros, (6, 3, 3)),
+                      rng.normal(size=(6, 3, 3)))
+    delta, omega = (np.where(rng.random((6, 1)) < 0.5, rng.choice(zeros, (6, 1)),
+                             rng.normal(size=(6, 1))) for _ in range(2))
+    params = MeanFieldParams(delta, omega, gamma=0.7, d=2, V=10.0)
+    n, s_x, s_y = np.moveaxis(states, -1, 0)
+    u = 8.0 if model == COLLECTIVE else 0.0
+    sigma = 1.0 if convention == ORACLE_VERIFIED else -1.0
+    g, w, z = 0.7, 40.0, np.zeros_like(n)
+    a = 0.5 * g * (u * n + 1.0)
+    expected = np.stack([np.stack(row, axis=-1) for row in (
+        [-g + z, z, omega + z],
+        [-0.5 * g * u * s_x - w * s_y, -a, -delta - w * n],
+        [-0.5 * g * u * s_y + w * s_x - 4.0 * omega + z, sigma * delta + w * n, -a],
+    )], axis=-2)
+    jac = mf_jacobian(states, params, convention, model)
+    assert jac.shape == (6, 3, 3, 3)
+    assert np.array_equal(jac.view(np.int64), expected.view(np.int64))
+
+
 def test_fixed_points_bistable_reference():
     fps = find_fixed_points(BISTABLE)
     ns = [fp.state.n for fp in fps]

@@ -11,6 +11,12 @@ underneath and, for trajectories, --seed/--threads overriding on top. A JSON
 manifest written next to each CSV carries the fully resolved configuration;
 passing a manifest back via --config reproduces the CSV byte for byte.
 
+Every lattice (steady-state, trajectories, the verify_N ring of coherence)
+is built by _chain, whose check_sites refuses N > 10 before anything of
+that size exists. Both lattice workflows propagate to the end of the
+averaging window, 5/gamma, since nothing later reaches a CSV; t_final must
+cover the window and is recorded, like dt and threads, but moves nothing.
+
 CSV layout: '#'-prefixed comment lines (metadata, then 'columns: ...'),
 followed by comma-delimited data rows, 17 significant digits; non-finite
 and absent values are empty fields.
@@ -40,8 +46,8 @@ from .coherence import exact_mode_series, initial_coherence, mode_series
 from .lattice import build_lattice
 from .master_equation import (
     COND_LIMIT,
-    MAX_SITES,
     PropagationStats,
+    check_sites,
     check_window,
     scan_steady_state,
     window_times,
@@ -157,6 +163,11 @@ def write_manifest(path: Path, command: str, config: dict, outputs: list[str],
     }
     if extra:
         doc.update(extra)
+    write_json(path, doc)
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """doc as JSON: indent 2, sorted keys, a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -233,13 +244,10 @@ def _delta_grid(cfg) -> np.ndarray:
     return np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
 
 
-def _chain(cfg):
-    """The config's chain, checked against MAX_SITES before any operator is built."""
-    if cfg["N"] > MAX_SITES:
-        raise ValueError(f"N <= {MAX_SITES} is required (at N = 10 steady-state holds a 4^N-entry "
-                         f"orbit array and a generator of dimension 53,764, 250 MiB; trajectories "
-                         f"a dense 2^N x 2^N H_eff), got N = {cfg['N']}")
-    return build_lattice(1, (cfg["N"],), cfg["boundary"])
+def _chain(n_sites: int, boundary: str):
+    """A chain of n_sites, checked by check_sites before any operator is built."""
+    check_sites(n_sites)
+    return build_lattice(1, (n_sites,), boundary)
 
 
 def _models(cfg) -> tuple[str, ...]:
@@ -273,6 +281,11 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
         check_model(m)
     if len(set(cfg["models"])) != len(cfg["models"]):
         raise ValueError(f"models must be distinct, got {cfg['models']!r}")
+    lat = None  # the exact cross-check's ring, checked before any mode is computed
+    if cfg["verify_N"] is not None:
+        if d != 1:
+            raise ValueError("the exact cross-check runs on a chain (d = 1)")
+        lat = _chain(cfg["verify_N"], "periodic")
     t = np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_times"]))
 
     per_model: dict[str, np.ndarray] = {}
@@ -287,11 +300,7 @@ def cmd_coherence(cfg: dict, out_dir: Path) -> list[Path]:
 
     dev: dict[str, np.ndarray] = {}
     cross_check: dict[str, dict] = {}
-    if cfg["verify_N"] is not None:
-        n_sites = int(cfg["verify_N"])
-        if d != 1:
-            raise ValueError("the exact cross-check runs on a chain (d = 1)")
-        lat = build_lattice(1, (n_sites,), "periodic")
+    if lat is not None:
         mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
         for m in cfg["models"]:
             stats = PropagationStats()
@@ -334,7 +343,7 @@ def _contrast(n_c, n_s):
 def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
-    lat = _chain(cfg)
+    lat = _chain(n_sites, cfg["boundary"])
     mp = ModelParams(omega_a=cfg["omega_a"], V=cfg["V"], gamma=cfg["gamma"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     scan = scan_steady_state(
@@ -366,13 +375,14 @@ def cmd_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
     t0 = time.monotonic()
     n_sites = int(cfg["N"])
-    lat = _chain(cfg)
+    lat = _chain(n_sites, cfg["boundary"])
     deltas, omegas = _delta_grid(cfg), _omega_grid(cfg)
     models = _models(cfg)
     gamma = cfg["gamma"]
     check_window(cfg["t_final"], gamma)
+    # nothing after the window's end reaches the CSV: every run stops there
     tw = window_times(gamma)
-    sample_times = np.union1d(np.linspace(0.0, cfg["t_final"], 51), tw)
+    sample_times = np.union1d(np.linspace(0.0, tw[-1], 51), tw)
     psi0 = np.zeros(1 << n_sites, dtype=complex)
     psi0[0] = 1.0
 
@@ -399,7 +409,7 @@ def cmd_trajectories(cfg: dict, out_dir: Path) -> list[Path]:
                 ens = run_ensemble(
                     lat, mp, m, psi0, int(cfg["n_traj"]),
                     int(cell_seeds[(k * n_delta + i) * n_omega + j]),
-                    t_final=cfg["t_final"], sample_times=sample_times,
+                    t_final=tw[-1], sample_times=sample_times,
                     threads=cfg["threads"], propagator=prop,
                 )
                 prop = ens.propagator
@@ -484,9 +494,7 @@ def cmd_meanfield(cfg: dict, out_dir: Path) -> list[Path]:
         except ValueError as exc:
             crit_error = str(exc)
     crit_path = out_dir / "meanfield_critical_points.json"
-    with open(crit_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"critical_points": crit, "error": crit_error}, fh, indent=2)
-        fh.write("\n")
+    write_json(crit_path, {"critical_points": crit, "error": crit_error})
 
     manifest = out_dir / "meanfield_manifest.json"
     write_manifest(manifest, "meanfield", cfg,

@@ -152,8 +152,8 @@ def exact_mode_series(
     check_model(model)
     if params.Omega != 0.0:
         raise ValueError("coherence cross-check requires Omega = 0")
+    orbits = symmetry_orbits(lattice)  # refuses N > MAX_SITES before any N-site table
     d = half_coordination(lattice)
-    orbits = symmetry_orbits(lattice)
     gen = (reduced_liouvillian(orbits, lattice, params, model)
            + params.omega_a * reduced_detuning(orbits))
     # the half-inverted product state has every entry 2^-N

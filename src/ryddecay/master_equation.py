@@ -9,8 +9,8 @@ mu = tr L / n, the exact 1-norm of L - mu I, and one power basis and one
 matrix product per block of samples. It draws no random numbers, and it
 refuses (ValueError) a plan whose sparse products times the non-zeros of
 L - mu I exceed MAX_TAYLOR_WORK. Every snapshot is checked for trace and
-hermiticity drift. Dimensions up to 2^MAX_SITES (N <= 10 sites) are
-supported. integrate_exact propagates one system this way; lindblad_rhs
+hermiticity drift. Dimensions up to 2^MAX_SITES (N <= 10 sites, check_sites)
+are supported. integrate_exact propagates one system this way; lindblad_rhs
 applies the generator as operator products and is kept as the independent
 oracle for liouvillian.
 
@@ -75,10 +75,10 @@ if TYPE_CHECKING:
 # exceptional point of H_eff; there cond(V) reads about 9e7 and the closed
 # form is off by 3.5e-9 from expm.
 COND_LIMIT = 1e6
-# Largest lattice of the exact layer and of the CLI's lattice workflows. At
-# N = 10 a steady-state cell holds the 4^N-entry orbit array and a reduced
-# generator of dimension 53,764 (10 s, 250 MiB peak); eig of the 2^N x 2^N
-# H_eff of a trajectory cell takes 4.7 s.
+# Largest lattice of the exact layer and of the CLI's lattice workflows,
+# compared in check_sites alone. At N = 10 a steady-state cell holds the
+# 4^N-entry orbit array and a reduced generator of dimension 53,764 (10 s,
+# 250 MiB peak); eig of the 2^N x 2^N H_eff of a trajectory cell takes 4.7 s.
 MAX_SITES = 10
 WINDOW = (4.75, 5.00)
 WINDOW_POINTS = 100
@@ -423,8 +423,7 @@ def integrate_exact(
     ValueError. See propagate for the drift checks.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape[0] > 1 << MAX_SITES:
-        raise ValueError(f"exact integration supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
+    check_sites((rho0.shape[0] - 1).bit_length())
     check_density_matrix(rho0)
     if sample_times is None:
         sample_times = np.array([t_final])
@@ -444,6 +443,15 @@ def excitation_density(rho: np.ndarray, lattice: LatticeSpec) -> float:
 def window_times(gamma: float = 1.0) -> np.ndarray:
     """The 100 linearly spaced sampling times in [4.75, 5.00]/gamma."""
     return np.linspace(WINDOW[0] / gamma, WINDOW[1] / gamma, WINDOW_POINTS)
+
+
+def check_sites(n: int) -> None:
+    """Raise unless n sites are within MAX_SITES: the one size check of every
+    lattice path, made before anything of that size is built."""
+    if n > MAX_SITES:
+        raise ValueError(f"N <= {MAX_SITES} is required (at N = 10 steady-state holds a 4^N-entry "
+                         f"orbit array and a generator of dimension 53,764, 250 MiB; trajectories "
+                         f"a dense 2^N x 2^N H_eff), got N = {n}")
 
 
 def check_window(t_final: float, gamma: float) -> None:
@@ -556,8 +564,7 @@ def symmetry_orbits(lattice: LatticeSpec) -> Orbits:
     import scipy.sparse as sp
 
     n = lattice.site_count
-    if n > MAX_SITES:
-        raise ValueError(f"exact propagation supports dim <= {1 << MAX_SITES} (N <= {MAX_SITES})")
+    check_sites(n)
     dim = 1 << n
     bits, masks = occupations(n), site_masks(n)
     rep = None

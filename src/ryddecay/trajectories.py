@@ -177,12 +177,18 @@ def _evolve(prop, jumps, psi0, t_final, sample_times, rngs, obs) -> list[Traject
             local = np.arange(lens.sum()) - np.repeat(starts, lens)
             at = ptr[owner] + local
             n2, dens = np.empty(len(at)), np.empty(len(at))
-            for b in range(0, len(at), BLOCK_ROWS):
-                part = slice(b, b + BLOCK_ROWS)
-                p2 = np.abs(prop.rows(coefs[owner[part]], grid[at[part]] - t0[owner[part]])) ** 2
-                # per-row sums: a sample's bits do not depend on the batch
-                n2[part] = np.sum(p2, axis=1)
-                dens[part] = np.sum(p2 * obs, axis=1) / n2[part]
+            # a row past a jump may underflow to n2 = 0 (never kept), and
+            # rounding in eig of a huge H_eff overflows the phases; n2 tells
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(0, len(at), BLOCK_ROWS):
+                    part = slice(b, b + BLOCK_ROWS)
+                    p2 = np.abs(prop.rows(coefs[owner[part]],
+                                          grid[at[part]] - t0[owner[part]])) ** 2
+                    # per-row sums: a sample's bits do not depend on the batch
+                    n2[part] = np.sum(p2, axis=1)
+                    dens[part] = np.sum(p2 * obs, axis=1) / n2[part]
+            if not np.isfinite(n2).all():
+                raise OverflowError("the no-jump state overflowed")
             evaluated[scan] += lens
             # rows before the first at or below the threshold, per trajectory
             first = np.where(n2 <= thr[owner], local, np.repeat(lens, lens))

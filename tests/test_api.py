@@ -119,10 +119,14 @@ def _is_eig_call(node) -> bool:
         "eig", "linalg.eig", "np.linalg.eig", "numpy.linalg.eig")
 
 
-def _compares_cond_limit(node) -> bool:
-    return isinstance(node, ast.Compare) and any(
-        (isinstance(n, ast.Name) and n.id == "COND_LIMIT")
-        or (isinstance(n, ast.Attribute) and n.attr == "COND_LIMIT") for n in ast.walk(node))
+def _compares(name: str):
+    """A predicate: the node is a comparison that reads the constant name."""
+    return lambda node: isinstance(node, ast.Compare) and any(
+        (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name) for n in ast.walk(node))
+
+
+_compares_cond_limit = _compares("COND_LIMIT")
 
 
 def test_one_eigendecomposition_and_one_cond_limit_decision():
@@ -130,3 +134,9 @@ def test_one_eigendecomposition_and_one_cond_limit_decision():
     # place for L_red and -i H_eff alike, and so is the choice of its route
     assert _functions_where(_is_eig_call) == {("master_equation.py", "eigen_form")}
     assert _functions_where(_compares_cond_limit) == {("master_equation.py", "eigen_form")}
+
+
+def test_one_lattice_size_decision():
+    # every lattice path (the CLI's chains, the orbits, the full-space
+    # integrator) is refused above MAX_SITES by the one check and message
+    assert _functions_where(_compares("MAX_SITES")) == {("master_equation.py", "check_sites")}

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -261,6 +262,27 @@ def test_trajectories_rejects_large_system(tmp_path, capsys):
     assert "N <= 10" in capsys.readouterr().err
 
 
+def test_coherence_refuses_a_huge_verify_ring_before_any_mode(tmp_path, capsys):
+    # the ring goes through the one size check before any mode or N-site
+    # neighbour table is built; a table of 10**6 sites takes seconds
+    start = time.monotonic()
+    with deadline(30):
+        run(tmp_path, "coherence", {"verify_N": 10**6}, expect=1)
+    assert time.monotonic() - start < 1.0
+    assert "N <= 10" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("cfg", [{"V": 1e300}, {"omega_min": 1e200, "omega_max": 1e200}])
+def test_trajectories_overflow_exits_1(tmp_path, capsys, cfg):
+    # rounding in eig of such an H_eff leaves some decay rate far below 0, and
+    # the no-jump phases overflow: the run fails instead of writing empty fields
+    run(tmp_path, "trajectories",
+        one_cell("trajectories", N=4, boundary="periodic", **cfg), expect=1)
+    assert "numerical overflow" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, csv_name, absent", [
     ("steady-state", "steady_state.csv", ["n_ss_collective", "delta_n_ss"]),
     ("trajectories", "trajectories.csv", ["n_ss_collective", "stderr_collective", "delta_n_ss"]),
@@ -291,6 +313,22 @@ TRAJ_CFG = {
     "omega_min": 2.5, "omega_max": 2.5, "n_omega": 1, "n_traj": 12,
     "t_final": 5.0, "seed": 4242,
 }
+
+
+@pytest.mark.parametrize("t_final", [10.0, 1e300])
+def test_trajectories_stop_at_the_window_end(tmp_path, t_final):
+    # nothing after 5/gamma reaches the CSV, so every run stops there: a
+    # longer t_final, even 1e300, is recorded and changes no byte and no
+    # jump count
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(); b.mkdir()
+    run(a, "trajectories", TRAJ_CFG)
+    with deadline(30):
+        run(b, "trajectories", {**TRAJ_CFG, "t_final": t_final})
+    assert (a / "trajectories.csv").read_bytes() == (b / "trajectories.csv").read_bytes()
+    manifests = [json.loads((d / "trajectories_manifest.json").read_text()) for d in (a, b)]
+    assert manifests[1]["config"]["t_final"] == t_final
+    assert manifests[0]["jump_counts"] == manifests[1]["jump_counts"]
 
 
 class Hung(Exception):

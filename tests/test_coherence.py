@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -317,3 +318,13 @@ def test_cross_check_rejects_more_than_ten_sites():
     lat = LatticeSpec(1, (11,), "periodic")
     with pytest.raises(ValueError, match="N <= 10"):
         exact_mode_series(lat, ModelParams(V=4.0), COLLECTIVE, np.array([0.0, 0.5]))
+
+
+def test_cross_check_refuses_a_huge_ring_before_building_it():
+    # the orbits check N before half_coordination builds the N-site
+    # neighbour table, which takes seconds and hundreds of MiB at 10**6 sites
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="N <= 10"):
+        exact_mode_series(LatticeSpec(1, (10**6,), "periodic"), ModelParams(V=4.0),
+                          COLLECTIVE, np.array([0.0, 0.5]))
+    assert time.monotonic() - start < 1.0

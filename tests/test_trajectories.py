@@ -379,6 +379,17 @@ def test_no_jump_when_no_channel_can_fire():
     assert res.jumps == [] and res.root_steps > 0
 
 
+def test_rows_that_underflow_past_a_jump_do_not_warn():
+    # one decaying atom sampled 1000/gamma apart: the chunk that brackets its
+    # jump also holds rows whose ||psi||^2 underflows to 0; they are never
+    # kept, and their 0/0 density must not warn (an error in this suite)
+    lat = LatticeSpec(1, (1,), "open")
+    ens = run_ensemble(lat, ModelParams(), SINGLE, up_state(1), n_traj=4, master_seed=1,
+                       t_final=2000.0, sample_times=np.array([0.0, 1000.0, 2000.0]))
+    assert ens.mean.tolist() == [1.0, 0.0, 0.0]
+    assert ens.jump_counts == {None: 4}
+
+
 def test_exceptional_point_falls_back_to_expm():
     # Delta = 0, Omega = gamma/4: the two eigenvectors of the single atom's
     # H_eff coalesce, and the eigenbasis is too ill-conditioned to trust
